@@ -2,9 +2,8 @@
 //!
 //! The reproduced paper's thesis is that correctness must not depend on
 //! tolerance-dependent luck; this crate applies the same stance to the
-//! codebase itself. Instead of trusting convention — "infallible wrappers
-//! delegate to `try_*`", "library crates never panic", "hot paths use
-//! direct-mapped caches" — `aq-lint` walks every workspace source file
+//! codebase itself. Instead of trusting convention — "library crates never
+//! panic", "hot paths use direct-mapped caches" — `aq-lint` walks every workspace source file
 //! with a hand-rolled Rust lexer and enforces those invariants as rules
 //! with structured findings (`file:line:col`, rule ID, severity).
 //!

@@ -1,10 +1,9 @@
 //! The rule engine: file analysis (test-region detection, suppression
-//! directives) plus the five domain-specific rule families.
+//! directives) plus the domain-specific rule families.
 //!
 //! | Rule | Guards                                                          |
 //! |------|-----------------------------------------------------------------|
 //! | R1   | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in non-test library code |
-//! | R2   | infallible public APIs with a `try_*` sibling are thin delegates |
 //! | R3   | no unbounded `HashMap`/`BTreeMap` caches in hot-path modules     |
 //! | R4   | no bare `as` narrowing casts in snapshot / wire-protocol code    |
 //! | R5   | no direct `f64` `==`/`!=` against float literals outside the epsilon module |
@@ -15,14 +14,13 @@
 //! | R10  | wire-protocol serialize and parse sides must agree field-by-field |
 //! | A0   | suppression directives must carry a justification                |
 //!
-//! R1–R7 and A0 are token-local; R8–R10 are the whole-workspace semantic
-//! passes (see `semantic.rs`), built on the parser / resolver / call
-//! graph. Every rule lives in [`REGISTRY`] — `--list-rules`, code
-//! parsing, and the fixture suite all derive from that one table.
+//! R2 is retired: the engine API is fallible-only, so no infallible twins
+//! are left to keep in sync. Its code stays unused so R3–R10 keep theirs.
 //!
-//! R1 has one built-in idiom exemption: the sanctioned infallible-wrapper
-//! body `self.try_x(…).unwrap_or_else(|e| panic!("{e}"))` — that `panic!`
-//! is the documented contract R2 checks for, not a stray panic.
+//! R1, R3–R7 and A0 are token-local; R8–R10 are the whole-workspace
+//! semantic passes (see `semantic.rs`), built on the parser / resolver /
+//! call graph. Every rule lives in [`REGISTRY`] — `--list-rules`, code
+//! parsing, and the fixture suite all derive from that one table.
 //!
 //! Suppression is explicit and justified: either an inline
 //! `// aq-lint: allow(R1): <reason>` on the offending line (or the line
@@ -35,8 +33,6 @@ use crate::lexer::{lex, LineIndex, TokKind, Token};
 pub enum RuleId {
     /// No panic-family calls in non-test library code.
     NoPanicPath,
-    /// Infallible public APIs must delegate to their `try_*` sibling.
-    InfallibleDelegate,
     /// No unbounded map caches in hot-path modules.
     UnboundedCache,
     /// No bare narrowing `as` casts in snapshot / wire code.
@@ -81,11 +77,6 @@ pub const REGISTRY: &[RuleInfo] = &[
         rule: RuleId::NoPanicPath,
         code: "R1",
         describe: "no unwrap()/expect()/panic!/todo!/unimplemented! in non-test library code",
-    },
-    RuleInfo {
-        rule: RuleId::InfallibleDelegate,
-        code: "R2",
-        describe: "infallible public APIs with a try_* sibling must be thin delegates to it",
     },
     RuleInfo {
         rule: RuleId::UnboundedCache,
@@ -223,10 +214,6 @@ impl Finding {
 pub struct LintConfig {
     /// Path prefixes R1 skips entirely, each with a committed justification.
     pub r1_allow_prefixes: Vec<(String, String)>,
-    /// Directory prefixes R2 applies to (library code with try_* twins).
-    pub r2_scope: Vec<String>,
-    /// Maximum code-token count for an infallible wrapper body.
-    pub r2_max_body_tokens: usize,
     /// Hot-path files R3 applies to.
     pub r3_hot_files: Vec<String>,
     /// Snapshot / wire-protocol files R4 applies to.
@@ -282,8 +269,6 @@ impl LintConfig {
                     "operator-driven figure/bench harness, not served library code".into(),
                 ),
             ],
-            r2_scope: vec!["crates/core/src/".into(), "crates/sim/src/".into()],
-            r2_max_body_tokens: 100,
             r3_hot_files: vec![
                 "crates/core/src/manager.rs".into(),
                 "crates/core/src/cache.rs".into(),
@@ -582,9 +567,6 @@ pub fn check_file(fa: &FileAnalysis<'_>, cfg: &LintConfig) -> Vec<Finding> {
         if !r1_allowed {
             check_no_panic(fa, &mut out);
         }
-        if cfg.r2_scope.iter().any(|p| fa.rel.starts_with(p.as_str())) {
-            check_delegates(fa, cfg.r2_max_body_tokens, &mut out);
-        }
         if cfg.r3_hot_files.iter().any(|f| f == fa.rel) {
             check_caches(fa, &mut out);
         }
@@ -675,9 +657,6 @@ fn check_no_panic(fa: &FileAnalysis<'_>, out: &mut Vec<Finding>) {
                 out,
             );
         } else if R1_MACROS.contains(&text) && next == "!" {
-            if text == "panic" && is_delegate_panic(fa, ci) {
-                continue; // the sanctioned infallible-wrapper idiom (see R2)
-            }
             fa.finding(
                 RuleId::NoPanicPath,
                 tok.start,
@@ -686,114 +665,6 @@ fn check_no_panic(fa: &FileAnalysis<'_>, out: &mut Vec<Finding>) {
             );
         }
     }
-}
-
-/// Whether the `panic` ident at code index `ci` sits inside the sanctioned
-/// wrapper idiom `…unwrap_or_else(|e| panic!(…))`.
-fn is_delegate_panic(fa: &FileAnalysis<'_>, ci: usize) -> bool {
-    if ci < 5 {
-        return false;
-    }
-    fa.code_text(ci - 1) == "|"
-        && fa.code_tok(ci - 2).map(|t| t.kind) == Some(TokKind::Ident)
-        && fa.code_text(ci - 3) == "|"
-        && fa.code_text(ci - 4) == "("
-        && fa.code_text(ci - 5) == "unwrap_or_else"
-}
-
-/// R2: for every `pub fn try_x` in the file, a sibling `pub fn x` must be
-/// a thin delegate that actually calls `try_x`.
-fn check_delegates(fa: &FileAnalysis<'_>, max_body_tokens: usize, out: &mut Vec<Finding>) {
-    // collect (name, code-index-of-name) for every `pub … fn name`
-    let mut pub_fns: Vec<(&str, usize)> = Vec::new();
-    for ci in 0..fa.code.len() {
-        if fa.code_text(ci) != "pub" {
-            continue;
-        }
-        let mut j = ci + 1;
-        if fa.code_text(j) == "(" {
-            // pub(crate), pub(super), …
-            while j < fa.code.len() && fa.code_text(j) != ")" {
-                j += 1;
-            }
-            j += 1;
-        }
-        // allow qualifiers between pub and fn (const, unsafe, async)
-        let mut guard = 0;
-        while guard < 3 && matches!(fa.code_text(j), "const" | "unsafe" | "async") {
-            j += 1;
-            guard += 1;
-        }
-        if fa.code_text(j) != "fn" {
-            continue;
-        }
-        let name_ci = j + 1;
-        if let Some(t) = fa.code_tok(name_ci) {
-            if t.kind == TokKind::Ident && !fa.in_test_code(t.start) {
-                pub_fns.push((t.text(fa.src), name_ci));
-            }
-        }
-    }
-    for &(name, _) in pub_fns.iter().filter(|(n, _)| n.starts_with("try_")) {
-        let sibling = &name[4..];
-        for &(n, ci) in pub_fns.iter().filter(|(n, _)| *n == sibling) {
-            let Some((body_start, body_end)) = fn_body_span(fa, ci) else {
-                continue;
-            };
-            let body: Vec<&str> = (body_start..body_end).map(|j| fa.code_text(j)).collect();
-            let pos = fa.code_tok(ci).map(|t| t.start).unwrap_or(0);
-            if !body.contains(&name) {
-                fa.finding(
-                    RuleId::InfallibleDelegate,
-                    pos,
-                    format!(
-                        "infallible `pub fn {n}` has a `{name}` sibling but never calls it; \
-                         it must be a thin delegate so both paths share one implementation"
-                    ),
-                    out,
-                );
-            } else if body.len() > max_body_tokens {
-                fa.finding(
-                    RuleId::InfallibleDelegate,
-                    pos,
-                    format!(
-                        "infallible `pub fn {n}` is {} tokens long (limit {max_body_tokens}); \
-                         move the logic into `{name}` and delegate",
-                        body.len()
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Code-index span `(start, end)` of the brace body of the fn whose name
-/// sits at code index `name_ci` (exclusive of the braces themselves).
-fn fn_body_span(fa: &FileAnalysis<'_>, name_ci: usize) -> Option<(usize, usize)> {
-    let mut j = name_ci;
-    while j < fa.code.len() && fa.code_text(j) != "{" {
-        if fa.code_text(j) == ";" {
-            return None; // trait method without body
-        }
-        j += 1;
-    }
-    let open = j;
-    let mut depth = 0usize;
-    while let Some(t) = fa.code_tok(j) {
-        match t.text(fa.src) {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open + 1, j));
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    None
 }
 
 const MAP_TYPES: &[&str] = &["HashMap", "BTreeMap", "FxHashMap"];

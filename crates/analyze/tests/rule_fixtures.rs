@@ -7,8 +7,6 @@ use aq_analyze::{lint_source, LintConfig, RuleId};
 fn cfg() -> LintConfig {
     LintConfig {
         r1_allow_prefixes: vec![("crates/harness/".into(), "fixture harness crate".into())],
-        r2_scope: vec!["crates/lib/src/".into()],
-        r2_max_body_tokens: 12,
         r3_hot_files: vec!["crates/lib/src/hot.rs".into()],
         r4_wire_files: vec!["crates/lib/src/wire.rs".into()],
         r5_exempt_files: vec!["crates/lib/src/eps.rs".into()],
@@ -80,39 +78,6 @@ fn r1_suppression_works_on_the_line_above_only() {
     assert_eq!(
         rules_at("crates/lib/src/lib.rs", too_far),
         [RuleId::NoPanicPath]
-    );
-}
-
-// ---- R2: infallible public APIs delegate to their try_* sibling ----
-
-#[test]
-fn r2_flags_infallible_twin_that_reimplements() {
-    let src = "pub fn try_get(x: u32) -> Result<u32, ()> { Ok(x + 1) }\n\
-               pub fn get(x: u32) -> u32 { x + 1 }\n";
-    assert_eq!(
-        rules_at("crates/lib/src/api.rs", src),
-        [RuleId::InfallibleDelegate]
-    );
-}
-
-#[test]
-fn r2_accepts_a_thin_delegate() {
-    let src = "pub fn try_get(x: u32) -> Result<u32, ()> { Ok(x + 1) }\n\
-               pub fn get(x: u32) -> u32 { try_get(x).unwrap_or(0) }\n";
-    assert!(rules_at("crates/lib/src/api.rs", src).is_empty());
-}
-
-#[test]
-fn r2_flags_an_oversized_delegate_body() {
-    // Calls try_get, but the body is far beyond r2_max_body_tokens: the
-    // logic belongs in the fallible sibling.
-    let src = "pub fn try_get(x: u32) -> Result<u32, ()> { Ok(x + 1) }\n\
-               pub fn get(x: u32) -> u32 {\n    \
-               let a = x + 1; let b = a * 2; let c = b - x; let d = c ^ a;\n    \
-               try_get(d).unwrap_or(a + b + c)\n}\n";
-    assert_eq!(
-        rules_at("crates/lib/src/api.rs", src),
-        [RuleId::InfallibleDelegate]
     );
 }
 

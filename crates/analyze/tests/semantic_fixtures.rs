@@ -16,8 +16,6 @@ fn cfg() -> LintConfig {
             "crates/".into(),
             "semantic fixtures exercise R8-R10 only".into(),
         )],
-        r2_scope: Vec::new(),
-        r2_max_body_tokens: 100,
         r3_hot_files: Vec::new(),
         r4_wire_files: Vec::new(),
         r5_exempt_files: Vec::new(),

@@ -8,7 +8,11 @@ use aq_circuits::{bwt, grover, gse, BwtParams, Circuit, GseParams};
 use aq_dd::{GcdContext, NumericContext, QomegaContext, WeightContext};
 use aq_sim::{SimOptions, Simulator};
 
-fn run<W: WeightContext>(ctx: W, circuit: &Circuit, start: u64) -> usize {
+fn run<W: WeightContext>(
+    ctx: W,
+    circuit: &Circuit,
+    start: u64,
+) -> Result<usize, Box<dyn std::error::Error>> {
     let mut sim = Simulator::with_options(
         ctx,
         circuit,
@@ -17,9 +21,9 @@ fn run<W: WeightContext>(ctx: W, circuit: &Circuit, start: u64) -> usize {
             ..SimOptions::default()
         },
     );
-    sim.reset_to(start);
-    while sim.step() {}
-    sim.nodes()
+    sim.try_reset_to(start)?;
+    while sim.try_step()? {}
+    Ok(sim.nodes())
 }
 
 /// Fig. 3 headline: Grover simulation per weight system.

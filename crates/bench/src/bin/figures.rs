@@ -31,6 +31,9 @@ use aq_circuits::{bwt, grover, gse, BwtParams, Circuit, GseParams};
 use aq_dd::{GcdContext, QomegaContext, RunBudget};
 use aq_sim::{Column, SimOptions, Simulator, Trace};
 
+/// Result of the figure stages that stop on an engine error.
+type Fallible<T = ()> = Result<T, Box<dyn std::error::Error>>;
+
 /// Crash-safety wiring shared by every sweep: where to dump a checkpoint
 /// on abort, and which (if any) checkpoint to continue from.
 #[derive(Clone, Copy, Default)]
@@ -39,7 +42,7 @@ struct Persist<'a> {
     resume: Option<&'a Path>,
 }
 
-fn main() {
+fn main() -> Fallible {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = Scale::from_args(&args);
     let budget = budget_from_args(&args);
@@ -59,14 +62,14 @@ fn main() {
         "fig3" => fig3(scale, budget, persist),
         "fig4" => fig4(scale, budget, persist),
         "fig5" => fig2_and_fig5(scale, budget, persist, false, true),
-        "ablation" => ablation(scale),
-        "extras" => extras(scale),
+        "ablation" => ablation(scale)?,
+        "extras" => extras(scale)?,
         "all" => {
             fig2_and_fig5(scale, budget, persist, true, true);
             fig3(scale, budget, persist);
             fig4(scale, budget, persist);
-            ablation(scale);
-            extras(scale);
+            ablation(scale)?;
+            extras(scale)?;
         }
         other => {
             eprintln!(
@@ -77,6 +80,7 @@ fn main() {
             std::process::exit(2);
         }
     }
+    Ok(())
 }
 
 /// The compiled Clifford+T GSE circuit used by Figs. 2 and 5.
@@ -256,7 +260,7 @@ fn fig2_and_fig5(
 }
 
 /// Normalization-scheme ablation (Sec. V-B): `Q[ω]` inverses vs `D[ω]` GCDs.
-fn ablation(scale: Scale) {
+fn ablation(scale: Scale) -> Fallible {
     let grover_c = match scale {
         Scale::Quick => grover(9, 0b101101011),
         Scale::Paper => grover(11, 0b10110101101),
@@ -285,10 +289,10 @@ fn ablation(scale: Scale) {
         ("bwt", &bwt_c, tree.coined_start()),
         ("gse", &gse_c, 0),
     ] {
-        let q = traced_walk(QomegaContext::new(), circuit, start);
-        let g = traced_walk(GcdContext::new(), circuit, start);
-        let qf = trivial_fraction(QomegaContext::new(), circuit, start);
-        let gf = trivial_fraction(GcdContext::new(), circuit, start);
+        let q = traced_walk(QomegaContext::new(), circuit, start)?;
+        let g = traced_walk(GcdContext::new(), circuit, start)?;
+        let qf = trivial_fraction(QomegaContext::new(), circuit, start)?;
+        let gf = trivial_fraction(GcdContext::new(), circuit, start)?;
         rows.push((name.to_string(), q, g, qf, gf));
     }
 
@@ -339,7 +343,7 @@ fn ablation(scale: Scale) {
     }
     aq_sim::write_csv("target/figures/ablation_normalization.csv", &cols).expect("write csv");
 
-    norm_scheme_ablation();
+    norm_scheme_ablation()
 }
 
 /// Numeric-normalization ablation: the simple leftmost scheme vs the
@@ -347,7 +351,7 @@ fn ablation(scale: Scale) {
 /// near-cancellation pivot produces huge co-weights that merge wrongly
 /// under the tolerance — the “numerical instability of the multiplication
 /// algorithm” the paper observes as error peaks in Fig. 3b.
-fn norm_scheme_ablation() {
+fn norm_scheme_ablation() -> Fallible {
     use aq_bench::reference_run;
     use aq_dd::{NormScheme, NumericContext};
     use aq_sim::normalized_distance;
@@ -368,7 +372,7 @@ fn norm_scheme_ablation() {
             let ctx = NumericContext::with_eps_and_scheme(eps, scheme);
             let mut sim = Simulator::new(ctx, &circuit);
             let mut peak = 0usize;
-            while sim.step() {
+            while sim.try_step()? {
                 peak = peak.max(sim.nodes());
             }
             let s = sim.state();
@@ -389,20 +393,21 @@ fn norm_scheme_ablation() {
         Column::from_usize("peak_nodes", rows.iter().map(|r| r.3)),
     ];
     aq_sim::write_csv("target/figures/ablation_norm_scheme.csv", &cols).expect("write csv");
+    Ok(())
 }
 
 /// Extension experiments beyond the paper's figures (see EXPERIMENTS.md):
 /// matrix-matrix vs matrix-vector workloads, and the correctness of
 /// DD-based equivalence checking under the eps trade-off.
-fn extras(scale: Scale) {
-    matrix_vs_vector(scale);
-    equivalence_correctness();
+fn extras(scale: Scale) -> Fallible {
+    matrix_vs_vector(scale)?;
+    equivalence_correctness()
 }
 
 /// Builds the whole-circuit unitary (matrix-matrix pipeline) and compares
 /// it with stepwise state simulation — the two workloads the paper's
 /// introduction names for DD-based design automation.
-fn matrix_vs_vector(scale: Scale) {
+fn matrix_vs_vector(scale: Scale) -> Fallible {
     use aq_dd::NumericContext;
     use std::time::Instant;
     let n = match scale {
@@ -420,11 +425,11 @@ fn matrix_vs_vector(scale: Scale) {
         ($label:expr, $ctx:expr) => {{
             let t0 = Instant::now();
             let mut sim = Simulator::new($ctx, &circuit);
-            while sim.step() {}
+            while sim.try_step()? {}
             let mxv = t0.elapsed().as_secs_f64();
             let t0 = Instant::now();
             let mut sim = Simulator::new($ctx, &circuit);
-            let u = sim.build_unitary();
+            let u = sim.try_build_unitary()?;
             let mxm = t0.elapsed().as_secs_f64();
             let nodes = sim.manager().mat_nodes(&u);
             println!("{:<22} {:>12.3} {:>12.3} {:>12}", $label, mxv, mxm, nodes);
@@ -444,6 +449,7 @@ fn matrix_vs_vector(scale: Scale) {
         Column::from_usize("unitary_nodes", rows.iter().map(|r| r.3)),
     ];
     aq_sim::write_csv("target/figures/extras_mxm_vs_mxv.csv", &cols).expect("write csv");
+    Ok(())
 }
 
 /// Equivalence checking (the paper's Sec. V-B design task) across the
@@ -451,7 +457,7 @@ fn matrix_vs_vector(scale: Scale) {
 /// truly equivalent circuits (false negatives), while a large eps
 /// *wrongly equates* distinct circuits (false positives). The exact
 /// manager gets both right, by construction.
-fn equivalence_correctness() {
+fn equivalence_correctness() -> Fallible {
     use aq_dd::{GateMatrix, NumericContext};
     use aq_sim::circuits_equivalent;
 
@@ -499,9 +505,9 @@ fn equivalence_correctness() {
     let verdict = |b: bool| if b { "EQUIVALENT" } else { "different" };
     let mut rows: Vec<(String, bool, bool, String)> = Vec::new();
     for eps in [0.0, 1e-13, 1e-1] {
-        let a = circuits_equivalent(NumericContext::with_eps(eps), &base, &equal);
-        let d = circuits_equivalent(NumericContext::with_eps(eps), &base, &different);
-        let nm = circuits_equivalent(NumericContext::with_eps(eps), &base, &near);
+        let a = circuits_equivalent(NumericContext::with_eps(eps), &base, &equal)?;
+        let d = circuits_equivalent(NumericContext::with_eps(eps), &base, &different)?;
+        let nm = circuits_equivalent(NumericContext::with_eps(eps), &base, &near)?;
         println!(
             "{:<14} {:>18} {:>18} {:>18}",
             format!("eps={eps:.0e}"),
@@ -511,8 +517,8 @@ fn equivalence_correctness() {
         );
         rows.push((format!("eps={eps:.0e}"), a, d, verdict(nm).to_string()));
     }
-    let a = circuits_equivalent(QomegaContext::new(), &base, &equal);
-    let d = circuits_equivalent(QomegaContext::new(), &base, &different);
+    let a = circuits_equivalent(QomegaContext::new(), &base, &equal)?;
+    let d = circuits_equivalent(QomegaContext::new(), &base, &different)?;
     println!(
         "{:<14} {:>18} {:>18} {:>18}",
         "algebraic",
@@ -540,15 +546,20 @@ fn equivalence_correctness() {
         },
     ];
     aq_sim::write_csv("target/figures/extras_equivalence.csv", &cols).expect("write csv");
+    Ok(())
 }
 
-fn traced_walk<W: aq_dd::WeightContext>(ctx: W, circuit: &Circuit, start: u64) -> Trace {
+fn traced_walk<W: aq_dd::WeightContext>(ctx: W, circuit: &Circuit, start: u64) -> Fallible<Trace> {
     let mut sim = Simulator::with_options(ctx, circuit, SimOptions::default());
-    sim.reset_to(start);
-    sim.run().trace
+    sim.try_reset_to(start)?;
+    Ok(sim.try_run()?.trace)
 }
 
-fn trivial_fraction<W: aq_dd::WeightContext>(ctx: W, circuit: &Circuit, start: u64) -> f64 {
+fn trivial_fraction<W: aq_dd::WeightContext>(
+    ctx: W,
+    circuit: &Circuit,
+    start: u64,
+) -> Fallible<f64> {
     let mut sim = Simulator::with_options(
         ctx,
         circuit,
@@ -557,13 +568,13 @@ fn trivial_fraction<W: aq_dd::WeightContext>(ctx: W, circuit: &Circuit, start: u
             ..SimOptions::default()
         },
     );
-    sim.reset_to(start);
-    while sim.step() {}
+    sim.try_reset_to(start)?;
+    while sim.try_step()? {}
     let state = sim.state();
     let (total, unit) = sim.manager().vec_weight_stats(&state);
-    if total == 0 {
+    Ok(if total == 0 {
         0.0
     } else {
         unit as f64 / total as f64
-    }
+    })
 }

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use aq_circuits::Circuit;
 use aq_dd::{GcdContext, NormScheme, NumericContext, QomegaContext, RunBudget, WeightContext};
-use aq_sim::{Column, PairedRun, SimOptions, Simulator, Trace};
+use aq_sim::{Column, PairedRun, SimAbort, SimError, SimOptions, Simulator, Trace};
 
 pub use aq_sim::sweep::ReferenceRun;
 
@@ -101,9 +101,17 @@ pub fn figure_numeric_context(eps: f64) -> NumericContext {
 
 /// Runs one numeric ε-sweep entry against the algebraic reference,
 /// sampling the error every `sample_every` gates.
-pub fn traced_numeric_run(circuit: &Circuit, eps: f64, sample_every: usize) -> Trace {
-    let (subject, _) = PairedRun::new(figure_numeric_context(eps), circuit, sample_every).run();
-    subject
+///
+/// # Errors
+///
+/// Fails if an operation is not representable in either weight system.
+pub fn traced_numeric_run(
+    circuit: &Circuit,
+    eps: f64,
+    sample_every: usize,
+) -> Result<Trace, SimError> {
+    let (subject, _) = PairedRun::new(figure_numeric_context(eps), circuit, sample_every).run()?;
+    Ok(subject)
 }
 
 /// Simulation options for the figure harness: default tuning plus the
@@ -183,18 +191,26 @@ pub fn traced_numeric_vs_reference_resumable(
 }
 
 /// Runs the exact algebraic simulation with tracing.
-pub fn traced_algebraic_run(circuit: &Circuit) -> Trace {
+///
+/// # Errors
+///
+/// Fails if an operation is not representable in `Q[ω]`.
+pub fn traced_algebraic_run(circuit: &Circuit) -> Result<Trace, Box<SimAbort>> {
     traced_run(QomegaContext::new(), circuit)
 }
 
 /// Runs the GCD-normalized algebraic simulation with tracing.
-pub fn traced_gcd_run(circuit: &Circuit) -> Trace {
+///
+/// # Errors
+///
+/// Fails if an operation is not representable in `D[ω]`.
+pub fn traced_gcd_run(circuit: &Circuit) -> Result<Trace, Box<SimAbort>> {
     traced_run(GcdContext::new(), circuit)
 }
 
-fn traced_run<W: WeightContext>(ctx: W, circuit: &Circuit) -> Trace {
+fn traced_run<W: WeightContext>(ctx: W, circuit: &Circuit) -> Result<Trace, Box<SimAbort>> {
     let mut sim = Simulator::with_options(ctx, circuit, SimOptions::default());
-    sim.run().trace
+    Ok(sim.try_run()?.trace)
 }
 
 /// Formats an ε for CSV column labels (`eps0`, `eps1e-10`, …).
@@ -386,12 +402,13 @@ mod tests {
     }
 
     #[test]
-    fn traced_runs_produce_points() {
+    fn traced_runs_produce_points() -> aq_testutil::TestResult {
         let c = aq_circuits::grover(3, 2);
-        let t = traced_algebraic_run(&c);
+        let t = traced_algebraic_run(&c)?;
         assert_eq!(t.points.len(), c.len());
-        let tn = traced_numeric_run(&c, 1e-12, 4);
+        let tn = traced_numeric_run(&c, 1e-12, 4)?;
         assert_eq!(tn.points.len(), c.len());
         assert!(tn.final_error().is_some());
+        Ok(())
     }
 }

@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 
-use aq_dd::{GateMatrix, Manager, NumericContext};
+use aq_dd::{EngineError, GateMatrix, Manager, NumericContext};
 use aq_rings::Complex64;
 
 use crate::{Circuit, Op};
@@ -475,20 +475,29 @@ impl CliffordTCompiler {
 
 /// Verifies a compiled word against its target by DD simulation — a
 /// self-check utility used in tests and examples.
-pub fn word_distance(word: &[CtGate], target: &[Complex64; 4]) -> f64 {
+///
+/// # Errors
+///
+/// Fails only on node-arena or weight-table overflow (the manager it
+/// builds carries no budget).
+pub fn word_distance(word: &[CtGate], target: &[Complex64; 4]) -> Result<f64, EngineError> {
     let mut m = Manager::new(NumericContext::with_eps(1e-13), 1);
-    let mut u = m.identity();
+    let mut u = m.try_identity()?;
     for g in word {
-        let gd = m.gate(&g.matrix(), 0, &[]);
-        u = m.mat_mul(&gd, &u);
+        let gd = m.try_gate(&g.matrix(), 0, &[])?;
+        u = m.try_mat_mul(&gd, &u)?;
     }
     let mat = m.matrix(&u);
-    distance(&[mat[0][0], mat[0][1], mat[1][0], mat[1][1]], target)
+    Ok(distance(
+        &[mat[0][0], mat[0][1], mat[1][0], mat[1][1]],
+        target,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aq_testutil::TestResult;
 
     #[test]
     fn clifford_enumeration_is_24() {
@@ -518,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn emitted_word_reproduces_database_distance() {
+    fn emitted_word_reproduces_database_distance() -> TestResult {
         let mut c = CliffordTCompiler::new(8);
         for theta in [0.3f64, 1.1, -0.7, 2.9] {
             let (word, err) = c.approximate_phase(theta);
@@ -528,12 +537,13 @@ mod tests {
                 Complex64::ZERO,
                 Complex64::from_polar_unit(theta),
             ];
-            let d = word_distance(&word, &target);
+            let d = word_distance(&word, &target)?;
             assert!(
                 (d - err).abs() < 1e-6,
                 "word/database mismatch for θ={theta}: {d} vs {err}"
             );
         }
+        Ok(())
     }
 
     #[test]

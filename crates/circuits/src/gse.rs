@@ -161,12 +161,13 @@ fn push_controlled_trotter_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aq_dd::{Manager, NumericContext};
+    use aq_dd::{EngineError, Manager, NumericContext};
     use aq_rings::Complex64;
+    use aq_testutil::TestResult;
 
-    fn simulate(c: &Circuit) -> (Manager<NumericContext>, Vec<Complex64>) {
+    fn simulate(c: &Circuit) -> Result<(Manager<NumericContext>, Vec<Complex64>), EngineError> {
         let mut m = Manager::new(NumericContext::with_eps(1e-12), c.n_qubits());
-        let mut s = m.basis_state(0);
+        let mut s = m.try_basis_state(0)?;
         for op in c.iter() {
             if let crate::Op::Gate {
                 matrix,
@@ -174,12 +175,12 @@ mod tests {
                 controls,
             } = op
             {
-                let g = m.gate(matrix, *target, controls);
-                s = m.mat_vec(&g, &s);
+                let g = m.try_gate(matrix, *target, controls)?;
+                s = m.try_mat_vec(&g, &s)?;
             }
         }
         let amps = m.amplitudes(&s);
-        (m, amps)
+        Ok((m, amps))
     }
 
     #[test]
@@ -196,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_estimation_recovers_ground_energy() {
+    fn phase_estimation_recovers_ground_energy() -> TestResult {
         // With the Hartree–Fock start |10⟩ (dominant ground-state overlap
         // for H₂), the counting register peaks at φ ≈ E·t/2π mod 1.
         let params = GseParams {
@@ -205,7 +206,7 @@ mod tests {
             ..GseParams::default()
         };
         let c = gse(&params);
-        let (m, amps) = simulate(&c);
+        let (m, amps) = simulate(&c)?;
         let _ = m;
         let p = params.precision_bits;
         // marginal distribution over the counting register
@@ -231,5 +232,6 @@ mod tests {
             dist <= 2.0 / (1 << p) as f64 + 0.02,
             "phase {measured_phase} vs expected {expected_phase} (E={e_ref})"
         );
+        Ok(())
     }
 }

@@ -298,6 +298,15 @@ fn parse_gate_stmt(
         .split(',')
         .map(|a| parse_qubit(a.trim(), reg, c.n_qubits(), lineno))
         .collect::<Result<_, _>>()?;
+    // `cx q[0],q[0];` names no gate: a control cannot be its own target
+    for (i, q) in qubits.iter().enumerate() {
+        if qubits.iter().take(i).any(|p| p == q) {
+            return Err(ParseQasmError::new(
+                lineno,
+                format!("`{name}` operands must be distinct qubits ({reg}[{q}] repeats)"),
+            ));
+        }
+    }
 
     let one = |lineno: usize| -> Result<u32, ParseQasmError> {
         qubits
@@ -590,6 +599,8 @@ fn write_op(out: &mut String, i: usize, op: &Op, prefix: &str) -> Result<(), Qas
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aq_dd::EngineError;
+    use aq_testutil::TestResult;
 
     #[test]
     fn parse_basic_program() {
@@ -684,6 +695,28 @@ mod tests {
     }
 
     #[test]
+    fn repeated_operands_are_parse_errors() {
+        for (stmt, gate) in [
+            ("cx q[0],q[0];", "cx"),
+            ("cz q[2], q[2];", "cz"),
+            ("swap q[1],q[1];", "swap"),
+            ("ccx q[0],q[1],q[0];", "ccx"),
+            ("if (c==1) cx q[1],q[1];", "cx"),
+        ] {
+            let src = format!("OPENQASM 2.0;\nqreg q[3];\ncreg c[1];\n{stmt}");
+            let err = parse_qasm(&src).expect_err(stmt);
+            assert_eq!(err.line(), 4, "{stmt}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("`{gate}` operands must be distinct")),
+                "{stmt}: {err}"
+            );
+        }
+        // distinct operands still parse
+        assert!(parse_qasm("OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[1],q[2];").is_ok());
+    }
+
+    #[test]
     fn errors_are_located() {
         let err = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nfoo q[0];").expect_err("bad gate");
         assert_eq!(err.line(), 3);
@@ -697,24 +730,25 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_semantics() {
+    fn roundtrip_preserves_semantics() -> TestResult {
         use aq_dd::QomegaContext;
         // grover(2)'s MCZ is a plain cz, so the whole circuit round-trips
         let small = crate::grover(2, 1);
         let text = to_qasm(&small).expect("grover(2) is pure gates");
         let reparsed = parse_qasm(&text).expect("reparse");
         let mut m1 = aq_dd::Manager::new(QomegaContext::new(), 2);
-        let u1 = aq_sim_free_unitary(&mut m1, &small);
-        let u2 = aq_sim_free_unitary(&mut m1, &reparsed);
+        let u1 = aq_sim_free_unitary(&mut m1, &small)?;
+        let u2 = aq_sim_free_unitary(&mut m1, &reparsed)?;
         assert_eq!(u1, u2, "round trip must preserve the unitary");
+        Ok(())
     }
 
     // local mini-builder (aq-sim depends on this crate, not vice versa)
     fn aq_sim_free_unitary(
         m: &mut aq_dd::Manager<aq_dd::QomegaContext>,
         c: &Circuit,
-    ) -> aq_dd::Edge<aq_dd::MatId> {
-        let mut u = m.identity();
+    ) -> Result<aq_dd::Edge<aq_dd::MatId>, EngineError> {
+        let mut u = m.try_identity()?;
         for op in c.iter() {
             if let Op::Gate {
                 matrix,
@@ -722,11 +756,11 @@ mod tests {
                 controls,
             } = op
             {
-                let g = m.gate(matrix, *target, controls);
-                u = m.mat_mul(&g, &u);
+                let g = m.try_gate(matrix, *target, controls)?;
+                u = m.try_mat_mul(&g, &u)?;
             }
         }
-        u
+        Ok(u)
     }
 
     #[test]

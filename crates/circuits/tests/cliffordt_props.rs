@@ -35,7 +35,7 @@ proptest! {
         let mut comp = CliffordTCompiler::new(7);
         let (word, err) = comp.approximate_phase(theta);
         prop_assert!(err < 0.12, "budget 7 must reach ~0.1: {err} at θ={theta}");
-        let d = word_distance(&word, &target_phase(theta));
+        let d = word_distance(&word, &target_phase(theta))?;
         prop_assert!((d - err).abs() < 1e-6, "claimed {err}, simulated {d}");
     }
 
@@ -45,7 +45,7 @@ proptest! {
         let target = random_unitary(a, b, c);
         let (word, err) = comp.approximate_unitary(&target);
         prop_assert!(err < 0.15, "distance {err}");
-        let d = word_distance(&word, &target);
+        let d = word_distance(&word, &target)?;
         prop_assert!((d - err).abs() < 1e-6);
     }
 

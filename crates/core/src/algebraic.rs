@@ -54,10 +54,10 @@ impl<V: Clone + Eq + Hash> ExactTable<V> {
             values: Vec::new(),
             index: UniqueTable::new(),
         };
-        let z = t.intern(zero);
-        let o = t.intern(one);
-        debug_assert_eq!(z, WeightId::ZERO);
-        debug_assert_eq!(o, WeightId::ONE);
+        // an empty table has ids to spare: interning the constants cannot fail
+        let z = t.try_intern(zero);
+        let o = t.try_intern(one);
+        debug_assert!(matches!((z, o), (Ok(WeightId::ZERO), Ok(WeightId::ONE))));
         t
     }
 }
@@ -100,11 +100,12 @@ impl<V: Clone + Eq + Hash> WeightTable for ExactTable<V> {
 /// use aq_dd::{GateMatrix, Manager, QomegaContext};
 ///
 /// let mut m = Manager::new(QomegaContext::new(), 1);
-/// let h = m.gate(&GateMatrix::h(), 0, &[]);
-/// let t = m.gate(&GateMatrix::t(), 0, &[]);
+/// let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
+/// let t = m.try_gate(&GateMatrix::t(), 0, &[])?;
 /// // (TH)·(TH)⁻¹ never leaves the exact ring, so equality is structural:
-/// let th = m.mat_mul(&t, &h);
-/// assert_ne!(th, m.identity());
+/// let th = m.try_mat_mul(&t, &h)?;
+/// assert_ne!(th, m.try_identity()?);
+/// # Ok::<(), aq_dd::EngineError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QomegaContext;
@@ -438,19 +439,21 @@ mod tests {
     use super::*;
     use aq_rings::assoc::gcd_canonical;
     use aq_rings::Zomega;
+    use aq_testutil::TestResult;
 
     fn dw(a: i64, b: i64, c: i64, d: i64, k: i64) -> Domega {
         Domega::new(Zomega::new(a.into(), b.into(), c.into(), d.into()), k)
     }
 
     #[test]
-    fn exact_table_dedups_structurally() {
+    fn exact_table_dedups_structurally() -> TestResult {
         let ctx = QomegaContext::new();
         let mut t = ctx.new_table();
-        let a = t.intern(Qomega::from_int_ratio(1, 3));
-        let b = t.intern(&Qomega::from_int_ratio(2, 3) - &Qomega::from_int_ratio(1, 3));
+        let a = t.try_intern(Qomega::from_int_ratio(1, 3))?;
+        let b = t.try_intern(&Qomega::from_int_ratio(2, 3) - &Qomega::from_int_ratio(1, 3))?;
         assert_eq!(a, b, "canonical forms must coincide");
         assert_eq!(t.len(), 3);
+        Ok(())
     }
 
     #[test]

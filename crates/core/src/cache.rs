@@ -34,7 +34,7 @@ pub struct CacheStats {
     /// identity above is exact).
     pub updates: u64,
     /// Live entries dropped by wholesale clears (including the implicit
-    /// clear during [`Manager::compact`](crate::Manager::compact)).
+    /// clear during [`Manager::try_compact`](crate::Manager::try_compact)).
     pub cleared: u64,
 }
 

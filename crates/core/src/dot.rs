@@ -16,10 +16,11 @@ impl<W: WeightContext> Manager<W> {
     /// use aq_dd::{GateMatrix, Manager, QomegaContext};
     ///
     /// let mut m = Manager::new(QomegaContext::new(), 2);
-    /// let s = m.basis_state(0b10);
+    /// let s = m.try_basis_state(0b10)?;
     /// let dot = m.vec_to_dot(&s);
     /// assert!(dot.starts_with("digraph"));
     /// assert!(dot.contains("q0"));
+    /// # Ok::<(), aq_dd::EngineError>(())
     /// ```
     pub fn vec_to_dot(&self, e: &Edge<VecId>) -> String {
         let mut out = String::from("digraph qmdd {\n  rankdir=TB;\n  node [shape=circle];\n");
@@ -129,12 +130,13 @@ fn mat_name(n: MatId) -> String {
 mod tests {
     use super::*;
     use crate::{GateMatrix, QomegaContext};
+    use aq_testutil::TestResult;
 
     #[test]
-    fn fig1c_dot_structure() {
+    fn fig1c_dot_structure() -> TestResult {
         // H ⊗ I₂ — the paper's Fig. 1c: one node per level plus terminal.
         let mut m = Manager::new(QomegaContext::new(), 2);
-        let h = m.gate(&GateMatrix::h(), 0, &[]);
+        let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
         let dot = m.mat_to_dot(&h);
         assert!(dot.contains("label=\"q0\""));
         assert!(dot.contains("label=\"q1\""));
@@ -142,19 +144,21 @@ mod tests {
         // the (1,1) block of the root carries weight −1
         assert!(dot.contains("(1,1): -1.0000"), "{dot}");
         assert_eq!(dot.matches("[label=\"q").count(), 2, "two nodes only");
+        Ok(())
     }
 
     #[test]
-    fn vector_dot_contains_all_branches() {
+    fn vector_dot_contains_all_branches() -> TestResult {
         let mut m = Manager::new(QomegaContext::new(), 2);
-        let z = m.basis_state(0);
-        let hd = m.gate(&GateMatrix::h(), 1, &[]);
-        let s = m.mat_vec(&hd, &z);
+        let z = m.try_basis_state(0)?;
+        let hd = m.try_gate(&GateMatrix::h(), 1, &[])?;
+        let s = m.try_mat_vec(&hd, &z)?;
         let dot = m.vec_to_dot(&s);
         assert!(dot.contains("digraph"));
         assert!(dot.contains("terminal"));
         assert!(dot.contains("0: 1.0000"));
         assert!(dot.contains("1: 1.0000"));
+        Ok(())
     }
 
     #[test]

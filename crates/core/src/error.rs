@@ -90,9 +90,7 @@ impl RunBudget {
 
 /// Structured failure of a decision-diagram engine operation.
 ///
-/// Returned by the `try_*` APIs. The infallible APIs wrap these and panic,
-/// preserving the pre-budget behaviour for callers that opt out of
-/// fail-soft operation.
+/// Returned by the `try_*` APIs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The node budget of the active [`RunBudget`] was exceeded.

@@ -53,7 +53,7 @@ impl<W: WeightContext> Manager<W> {
     ///
     /// For registers wider than 64 qubits, the high qubits (which a `u64`
     /// index cannot address) are read as `|0⟩` — mirroring
-    /// [`Manager::basis_state`](Self::basis_state).
+    /// [`Manager::try_basis_state`](Self::try_basis_state).
     pub fn amplitude(&self, e: &Edge<VecId>, index: u64) -> Complex64 {
         if e.is_zero() {
             return Complex64::ZERO;

@@ -443,36 +443,4 @@ impl<W: WeightContext> Manager<W> {
         }
         Ok(e)
     }
-
-    /// Like [`Manager::try_gate`] but panics on unrepresentable entries —
-    /// convenient for exact gates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate is not representable in this weight system, on a
-    /// crossed budget limit, or on the index errors of
-    /// [`Manager::try_gate`].
-    pub fn gate(
-        &mut self,
-        gate: &GateMatrix,
-        target: u32,
-        controls: &[(u32, bool)],
-    ) -> Edge<MatId> {
-        self.try_gate(gate, target, controls)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a SWAP between two qubits as three CNOTs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubits coincide or are out of range.
-    pub fn swap(&mut self, a: u32, b: u32) -> Edge<MatId> {
-        assert!(a != b, "swap of a qubit with itself");
-        let x = GateMatrix::x();
-        let c1 = self.gate(&x, b, &[(a, true)]);
-        let c2 = self.gate(&x, a, &[(b, true)]);
-        let m = self.mat_mul(&c2, &c1);
-        self.mat_mul(&c1, &m)
-    }
 }

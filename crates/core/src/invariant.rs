@@ -322,49 +322,52 @@ mod tests {
     use crate::gates::GateMatrix;
     use crate::numeric::NumericContext;
     use crate::{GcdContext, QomegaContext};
+    use aq_testutil::TestResult;
 
-    fn busy_manager() -> Manager<NumericContext> {
+    fn busy_manager() -> Result<Manager<NumericContext>, EngineError> {
         let mut m = Manager::new(NumericContext::with_eps(1e-10), 3);
-        let s = m.basis_state(0b010);
-        let h = m.gate(&GateMatrix::h(), 0, &[]);
-        let t = m.gate(&GateMatrix::t(), 1, &[(0, true)]);
-        let s = m.mat_vec(&h, &s);
-        let _ = m.mat_vec(&t, &s);
-        m
+        let s = m.try_basis_state(0b010)?;
+        let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
+        let t = m.try_gate(&GateMatrix::t(), 1, &[(0, true)])?;
+        let s = m.try_mat_vec(&h, &s)?;
+        let _ = m.try_mat_vec(&t, &s)?;
+        Ok(m)
     }
 
     #[test]
-    fn healthy_managers_validate() {
-        busy_manager()
+    fn healthy_managers_validate() -> TestResult {
+        busy_manager()?
             .validate()
             .expect("numeric manager is canonical");
         let mut m = Manager::new(QomegaContext::new(), 2);
-        let z = m.basis_state(0);
-        let h = m.gate(&GateMatrix::h(), 0, &[]);
-        let _ = m.mat_vec(&h, &z);
+        let z = m.try_basis_state(0)?;
+        let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
+        let _ = m.try_mat_vec(&h, &z)?;
         m.validate().expect("algebraic manager is canonical");
+        Ok(())
     }
 
     #[test]
-    fn lazily_normalized_gcd_weights_intern_fully_reduced() {
+    fn lazily_normalized_gcd_weights_intern_fully_reduced() -> TestResult {
         // a workload whose GCD normalizations all take the lazy path; the
         // validator's is_canonical_value sweep proves no pending √2
         // exponent or non-canonical coefficient form reached the table
         let mut m = Manager::new(GcdContext::new(), 3);
-        let mut s = m.basis_state(0b101);
+        let mut s = m.try_basis_state(0b101)?;
         for q in 0..3 {
-            let h = m.gate(&GateMatrix::h(), q, &[]);
-            s = m.mat_vec(&h, &s);
-            let t = m.gate(&GateMatrix::t(), q, &[((q + 1) % 3, true)]);
-            s = m.mat_vec(&t, &s);
+            let h = m.try_gate(&GateMatrix::h(), q, &[])?;
+            s = m.try_mat_vec(&h, &s)?;
+            let t = m.try_gate(&GateMatrix::t(), q, &[((q + 1) % 3, true)])?;
+            s = m.try_mat_vec(&t, &s)?;
         }
         assert!(m.distinct_weights() > 2, "workload must intern weights");
         m.validate().expect("lazy GCD manager is canonical");
+        Ok(())
     }
 
     #[test]
-    fn denormalized_edge_is_caught() {
-        let mut m = busy_manager();
+    fn denormalized_edge_is_caught() -> TestResult {
+        let mut m = busy_manager()?;
         // scale one child weight of a live node without re-normalizing:
         // exactly the corruption normalization exists to prevent
         let victim = m
@@ -376,7 +379,7 @@ mod tests {
             let w = m.vec_nodes[victim].children[1].w;
             let v = *m.table.get(w);
             let half = m.ctx.mul(&v, &aq_rings::Complex64::new(0.5, 0.0));
-            m.intern(half)
+            m.try_intern(half)?
         };
         m.vec_nodes[victim].children[1].w = scaled;
         let err = m.validate().expect_err("denormalized edge must be caught");
@@ -384,11 +387,12 @@ mod tests {
             matches!(err, EngineError::InvariantViolation { .. }),
             "{err}"
         );
+        Ok(())
     }
 
     #[test]
-    fn duplicate_weight_is_caught() {
-        let mut m = busy_manager();
+    fn duplicate_weight_is_caught() -> TestResult {
+        let mut m = busy_manager()?;
         // force a duplicate by pushing a value ε-equal to an existing one
         // past the dedup (ids must be unique; re-interning catches it)
         let v = *m.table.get(WeightId::ONE);
@@ -396,13 +400,15 @@ mod tests {
         m.table.push_duplicate_for_tests(dup);
         let err = m.validate().expect_err("duplicate weight must be caught");
         assert!(err.to_string().contains("duplicate"), "{err}");
+        Ok(())
     }
 
     #[test]
-    fn unique_table_desync_is_caught() {
-        let mut m = busy_manager();
+    fn unique_table_desync_is_caught() -> TestResult {
+        let mut m = busy_manager()?;
         m.vec_nodes.pop();
         let err = m.validate().expect_err("arena/unique desync");
         assert!(err.to_string().contains("unique table"), "{err}");
+        Ok(())
     }
 }

@@ -32,12 +32,13 @@
 //! use aq_dd::{GateMatrix, Manager, QomegaContext};
 //!
 //! let mut m = Manager::new(QomegaContext::new(), 2);
-//! let h = m.gate(&GateMatrix::h(), 0, &[]);
+//! let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
 //! assert_eq!(m.mat_nodes(&h), 2);
 //!
 //! // applying it twice gives the identity: HH = I
-//! let hh = m.mat_mul(&h, &h);
-//! assert_eq!(hh, m.identity());
+//! let hh = m.try_mat_mul(&h, &h)?;
+//! assert_eq!(hh, m.try_identity()?);
+//! # Ok::<(), aq_dd::EngineError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -16,7 +16,7 @@ const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 /// A point-in-time snapshot of the engine's internal counters.
 ///
 /// Obtained from [`Manager::statistics`]. Cache counters are lifetime
-/// totals: they survive [`Manager::clear_caches`] and [`Manager::compact`],
+/// totals: they survive [`Manager::clear_caches`] and [`Manager::try_compact`],
 /// so differences between snapshots measure the work in between.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStatistics {
@@ -46,7 +46,7 @@ pub struct EngineStatistics {
     pub mat_unique_capacity: usize,
     /// Distinct interned weights.
     pub distinct_weights: usize,
-    /// Number of [`Manager::compact`] runs over this manager's lifetime.
+    /// Number of [`Manager::try_compact`] runs over this manager's lifetime.
     pub compactions: u64,
 }
 
@@ -128,12 +128,10 @@ impl EngineStatistics {
 ///
 /// A [`RunBudget`] installed with [`Manager::set_budget`] caps allocated
 /// nodes, distinct weights, coefficient bit-width and wall-clock time.
-/// With a budget active, use the fallible `try_*` entry points
-/// ([`Manager::try_mat_vec`](Self::try_mat_vec) and friends): they return a
-/// structured [`EngineError`] instead of panicking, leaving the manager in
-/// a consistent state (all previously built DDs remain valid). The
-/// infallible APIs are thin wrappers that panic, preserving the historical
-/// behaviour.
+/// Every building operation is fallible (`try_*`, e.g.
+/// [`Manager::try_mat_vec`](Self::try_mat_vec)): a crossed limit returns a
+/// structured [`EngineError`] and leaves the manager in a consistent state
+/// (all previously built DDs remain valid).
 ///
 /// # Examples
 ///
@@ -141,17 +139,18 @@ impl EngineStatistics {
 /// use aq_dd::{GateMatrix, Manager, NumericContext};
 ///
 /// let mut m = Manager::new(NumericContext::new(), 2);
-/// let state = m.basis_state(0b00);
-/// let h0 = m.gate(&GateMatrix::h(), 0, &[]);
-/// let cx = m.gate(&GateMatrix::x(), 1, &[(0, true)]);
+/// let state = m.try_basis_state(0b00)?;
+/// let h0 = m.try_gate(&GateMatrix::h(), 0, &[])?;
+/// let cx = m.try_gate(&GateMatrix::x(), 1, &[(0, true)])?;
 /// let bell = {
-///     let s = m.mat_vec(&h0, &state);
-///     m.mat_vec(&cx, &s)
+///     let s = m.try_mat_vec(&h0, &state)?;
+///     m.try_mat_vec(&cx, &s)?
 /// };
 /// let amps = m.amplitudes(&bell);
 /// assert!((amps[0].re - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
 /// assert!((amps[3].re - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
 /// assert!(amps[1].abs() < 1e-12 && amps[2].abs() < 1e-12);
+/// # Ok::<(), aq_dd::EngineError>(())
 /// ```
 #[derive(Debug)]
 pub struct Manager<W: WeightContext> {
@@ -186,7 +185,7 @@ pub struct Manager<W: WeightContext> {
 /// limits are plain integer comparisons and are checked on every probe).
 const DEADLINE_PROBE_PERIOD: u32 = 64;
 
-/// Remapped root edges returned by [`Manager::compact`]: the vector roots
+/// Remapped root edges returned by [`Manager::try_compact`]: the vector roots
 /// and matrix roots, in input order.
 pub type CompactedRoots = (Vec<Edge<VecId>>, Vec<Edge<MatId>>);
 
@@ -237,8 +236,8 @@ impl<W: WeightContext> Manager<W> {
     /// Installs a resource budget and resets its wall-clock epoch.
     ///
     /// Subsequent `try_*` operations fail with a structured
-    /// [`EngineError`] when a limit is crossed; the infallible wrappers
-    /// panic instead. Install [`RunBudget::unlimited`] to remove limits.
+    /// [`EngineError`] when a limit is crossed. Install
+    /// [`RunBudget::unlimited`] to remove limits.
     pub fn set_budget(&mut self, budget: RunBudget) {
         self.budget_active = !budget.is_unlimited();
         self.budget = budget;
@@ -427,15 +426,6 @@ impl<W: WeightContext> Manager<W> {
         self.table.try_intern(v)
     }
 
-    /// Like [`Manager::try_intern`] but panics on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics on weight-table overflow or a crossed bit-width budget.
-    pub fn intern(&mut self, v: W::Value) -> WeightId {
-        self.try_intern(v).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Interned product of two weights.
     pub(crate) fn try_w_mul(&mut self, a: WeightId, b: WeightId) -> Result<WeightId, EngineError> {
         if a == WeightId::ZERO || b == WeightId::ZERO {
@@ -454,11 +444,6 @@ impl<W: WeightContext> Manager<W> {
         let r = self.try_intern(v)?;
         self.wops.put_pair(OP_MUL, a, b, r);
         Ok(r)
-    }
-
-    /// Like [`Manager::try_w_mul`] but panics on budget exhaustion.
-    pub(crate) fn w_mul(&mut self, a: WeightId, b: WeightId) -> WeightId {
-        self.try_w_mul(a, b).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Interned sum of two weights.
@@ -576,11 +561,6 @@ impl<W: WeightContext> Manager<W> {
         Ok(Edge { w: eta, n: id })
     }
 
-    pub(crate) fn make_vec_node(&mut self, var: u32, children: [Edge<VecId>; 2]) -> Edge<VecId> {
-        self.try_make_vec_node(var, children)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     #[inline]
     fn vec_edge(w: WeightId, n: VecId) -> Edge<VecId> {
         if w == WeightId::ZERO {
@@ -634,11 +614,6 @@ impl<W: WeightContext> Manager<W> {
         Ok(Edge { w: eta, n: id })
     }
 
-    pub(crate) fn make_mat_node(&mut self, var: u32, children: [Edge<MatId>; 4]) -> Edge<MatId> {
-        self.try_make_mat_node(var, children)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Extracts bit `n_qubits − 1 − var` of `index`, treating bit positions
     /// at and above 64 as zero — registers wider than 64 qubits address
     /// only the low 2⁶⁴ computational basis states, but must not overflow
@@ -683,17 +658,6 @@ impl<W: WeightContext> Manager<W> {
         Ok(e)
     }
 
-    /// Like [`Manager::try_basis_state`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= 2^n_qubits` (for `n_qubits < 64`), or when a
-    /// budget limit is crossed.
-    pub fn basis_state(&mut self, index: u64) -> Edge<VecId> {
-        self.try_basis_state(index)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The matrix DD with a single `1` entry at `(row, col)` — the outer
     /// product `|row⟩⟨col|`. Building-block for sparse operators such as
     /// the quantum-walk factors.
@@ -724,17 +688,6 @@ impl<W: WeightContext> Manager<W> {
         Ok(e)
     }
 
-    /// Like [`Manager::try_unit_matrix`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` or `col` is out of range (for `n_qubits < 64`), or
-    /// when a budget limit is crossed.
-    pub fn unit_matrix(&mut self, row: u64, col: u64) -> Edge<MatId> {
-        self.try_unit_matrix(row, col)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The identity operator on all qubits.
     ///
     /// # Errors
@@ -751,17 +704,8 @@ impl<W: WeightContext> Manager<W> {
         Ok(e)
     }
 
-    /// Like [`Manager::try_identity`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed.
-    pub fn identity(&mut self) -> Edge<MatId> {
-        self.try_identity().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Total nodes currently allocated (live + garbage); used to trigger
-    /// [`Manager::compact`].
+    /// [`Manager::try_compact`].
     pub fn allocated_nodes(&self) -> usize {
         self.vec_nodes.len() + self.mat_nodes.len()
     }
@@ -842,20 +786,6 @@ impl<W: WeightContext> Manager<W> {
             // aq-lint: allow(R1): opt-in debug feature whose whole point is to fail loudly
             .expect("compaction must preserve the structural invariants");
         Ok((new_vecs, new_mats))
-    }
-
-    /// Like [`Manager::try_compact`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed mid-copy.
-    pub fn compact(
-        &mut self,
-        vec_roots: &[Edge<VecId>],
-        mat_roots: &[Edge<MatId>],
-    ) -> CompactedRoots {
-        self.try_compact(vec_roots, mat_roots)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -227,16 +227,6 @@ impl<W: WeightContext> Manager<W> {
         Ok((p0 / total, p1 / total))
     }
 
-    /// Like [`Manager::try_qubit_marginal`] but panics on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed or the state has no mass.
-    pub fn qubit_marginal(&mut self, e: &Edge<VecId>, qubit: u32) -> (f64, f64) {
-        self.try_qubit_marginal(e, qubit)
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
     /// Normalized marginal probabilities `(p0, p1)` for **every** qubit in
     /// one downward sweep.
     ///
@@ -311,22 +301,6 @@ impl<W: WeightContext> Manager<W> {
         let w = self.try_w_mul(e.w, collapsed.w)?;
         let w = self.try_w_mul(w, scale_id)?;
         Ok((Edge { w, n: collapsed.n }, p / total))
-    }
-
-    /// Like [`Manager::try_measure_qubit`] but panics on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed, the outcome is impossible,
-    /// or the renormalization factor is unrepresentable.
-    pub fn measure_qubit(
-        &mut self,
-        e: &Edge<VecId>,
-        qubit: u32,
-        outcome: bool,
-    ) -> (Edge<VecId>, f64) {
-        self.try_measure_qubit(e, qubit, outcome)
-            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Rebuilds the subtree rooted at `n` with the non-`keep` branch of
@@ -455,44 +429,47 @@ mod tests {
     use crate::algebraic::{GcdContext, QomegaContext};
     use crate::gates::GateMatrix;
     use crate::numeric::NumericContext;
+    use aq_testutil::TestResult;
 
-    fn ghz<W: WeightContext>(m: &mut Manager<W>, n: u32) -> Edge<VecId> {
-        let mut state = m.basis_state(0);
-        let h = m.gate(&GateMatrix::h(), 0, &[]);
-        state = m.mat_vec(&h, &state);
+    fn ghz<W: WeightContext>(m: &mut Manager<W>, n: u32) -> Result<Edge<VecId>, EngineError> {
+        let mut state = m.try_basis_state(0)?;
+        let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
+        state = m.try_mat_vec(&h, &state)?;
         for q in 1..n {
-            let cx = m.gate(&GateMatrix::x(), q, &[(0, true)]);
-            state = m.mat_vec(&cx, &state);
+            let cx = m.try_gate(&GateMatrix::x(), q, &[(0, true)])?;
+            state = m.try_mat_vec(&cx, &state)?;
         }
-        state
+        Ok(state)
     }
 
     #[test]
-    fn ghz_marginals_are_exactly_half() {
+    fn ghz_marginals_are_exactly_half() -> TestResult {
         let mut m = Manager::new(QomegaContext::new(), 10);
-        let state = ghz(&mut m, 10);
+        let state = ghz(&mut m, 10)?;
         for q in 0..10 {
-            let (p0, p1) = m.qubit_marginal(&state, q);
+            let (p0, p1) = m.try_qubit_marginal(&state, q)?;
             assert_eq!(p0, 0.5, "qubit {q}: p0 must be exactly 0.5");
             assert_eq!(p1, 0.5, "qubit {q}: p1 must be exactly 0.5");
         }
         let all = m.try_marginals(&state).expect("unbudgeted");
         assert_eq!(all, vec![(0.5, 0.5); 10]);
+        Ok(())
     }
 
     #[test]
-    fn norm_sqr_exact_is_one_for_unitary_states() {
+    fn norm_sqr_exact_is_one_for_unitary_states() -> TestResult {
         let mut m = Manager::new(GcdContext::new(), 6);
-        let state = ghz(&mut m, 6);
+        let state = ghz(&mut m, 6)?;
         let n = m.try_norm_sqr_exact(&state).expect("unbudgeted");
         assert!(n.is_one(), "GHZ norm² must be exactly 1, got {n}");
+        Ok(())
     }
 
     #[test]
-    fn collapse_produces_the_surviving_basis_state() {
+    fn collapse_produces_the_surviving_basis_state() -> TestResult {
         let mut m = Manager::new(GcdContext::new(), 4);
-        let state = ghz(&mut m, 4);
-        let (collapsed, p) = m.measure_qubit(&state, 0, true);
+        let state = ghz(&mut m, 4)?;
+        let (collapsed, p) = m.try_measure_qubit(&state, 0, true)?;
         assert_eq!(p, 0.5);
         m.validate()
             .expect("post-collapse diagram must stay canonical");
@@ -505,62 +482,66 @@ mod tests {
         }
         // follow-up marginals are now deterministic
         for q in 1..4 {
-            assert_eq!(m.qubit_marginal(&collapsed, q), (0.0, 1.0));
+            assert_eq!(m.try_qubit_marginal(&collapsed, q)?, (0.0, 1.0));
         }
+        Ok(())
     }
 
     #[test]
-    fn collapse_matches_across_contexts() {
+    fn collapse_matches_across_contexts() -> TestResult {
         let mut mn = Manager::new(NumericContext::with_eps(1e-10), 3);
-        let sn = ghz(&mut mn, 3);
-        let (cn, pn) = mn.measure_qubit(&sn, 1, false);
+        let sn = ghz(&mut mn, 3)?;
+        let (cn, pn) = mn.try_measure_qubit(&sn, 1, false)?;
         let mut mq = Manager::new(QomegaContext::new(), 3);
-        let sq = ghz(&mut mq, 3);
-        let (cq, pq) = mq.measure_qubit(&sq, 1, false);
+        let sq = ghz(&mut mq, 3)?;
+        let (cq, pq) = mq.try_measure_qubit(&sq, 1, false)?;
         assert!((pn - pq).abs() < 1e-12);
         let an = mn.amplitudes(&cn);
         let aq = mq.amplitudes(&cq);
         for (x, y) in an.iter().zip(&aq) {
             assert!((x.re - y.re).abs() < 1e-12 && (x.im - y.im).abs() < 1e-12);
         }
+        Ok(())
     }
 
     #[test]
-    fn impossible_outcome_is_an_error() {
+    fn impossible_outcome_is_an_error() -> TestResult {
         let mut m = Manager::new(QomegaContext::new(), 2);
-        let state = m.basis_state(0); // |00⟩
+        let state = m.try_basis_state(0)?; // |00⟩
         let err = m.try_measure_qubit(&state, 0, true).unwrap_err();
         assert_eq!(err, EngineError::ImpossibleMeasurement { qubit: 0 });
+        Ok(())
     }
 
     #[test]
-    fn unrepresentable_renormalization_is_reported() {
+    fn unrepresentable_renormalization_is_reported() -> TestResult {
         // T·H|0⟩ then H gives p0 = (2+√2)/4: 1/√p leaves D[ω]/Q[ω]
         let mut m = Manager::new(QomegaContext::new(), 1);
-        let mut state = m.basis_state(0);
-        let h = m.gate(&GateMatrix::h(), 0, &[]);
-        let t = m.gate(&GateMatrix::t(), 0, &[]);
+        let mut state = m.try_basis_state(0)?;
+        let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
+        let t = m.try_gate(&GateMatrix::t(), 0, &[])?;
         for g in [&h, &t, &h] {
-            state = m.mat_vec(g, &state);
+            state = m.try_mat_vec(g, &state)?;
         }
         let err = m.try_measure_qubit(&state, 0, false).unwrap_err();
         assert_eq!(err, EngineError::UnrepresentableMeasurement { qubit: 0 });
         // the numeric context has no such restriction
         let mut mn = Manager::new(NumericContext::new(), 1);
-        let mut sn = mn.basis_state(0);
-        let hn = mn.gate(&GateMatrix::h(), 0, &[]);
-        let tn = mn.gate(&GateMatrix::t(), 0, &[]);
+        let mut sn = mn.try_basis_state(0)?;
+        let hn = mn.try_gate(&GateMatrix::h(), 0, &[])?;
+        let tn = mn.try_gate(&GateMatrix::t(), 0, &[])?;
         for g in [&hn, &tn, &hn] {
-            sn = mn.mat_vec(g, &sn);
+            sn = mn.try_mat_vec(g, &sn)?;
         }
-        let (_, p) = mn.measure_qubit(&sn, 0, false);
+        let (_, p) = mn.try_measure_qubit(&sn, 0, false)?;
         assert!((p - (2.0 + std::f64::consts::SQRT_2) / 4.0).abs() < 1e-12);
+        Ok(())
     }
 
     #[test]
-    fn state_sampler_walks_the_distribution() {
+    fn state_sampler_walks_the_distribution() -> TestResult {
         let mut m = Manager::new(GcdContext::new(), 3);
-        let state = ghz(&mut m, 3);
+        let state = ghz(&mut m, 3)?;
         let sampler = m.try_state_sampler(&state).expect("unbudgeted");
         // a deterministic stream of alternating low/high uniforms must hit
         // both GHZ outcomes and nothing else
@@ -574,27 +555,30 @@ mod tests {
             [0u64, 7u64].into_iter().collect(),
             "GHZ must only produce |000⟩ and |111⟩"
         );
+        Ok(())
     }
 
     #[test]
-    fn basis_probability_is_exact() {
+    fn basis_probability_is_exact() -> TestResult {
         let mut m = Manager::new(QomegaContext::new(), 10);
-        let state = ghz(&mut m, 10);
+        let state = ghz(&mut m, 10)?;
         let p = m.basis_probability(&state, 0);
         assert_eq!(m.ctx().to_complex(&p).re, 0.5);
         let p = m.basis_probability(&state, (1 << 10) - 1);
         assert_eq!(m.ctx().to_complex(&p).re, 0.5);
         assert!(m.ctx().is_zero(&m.basis_probability(&state, 5)));
+        Ok(())
     }
 
     #[test]
-    fn budget_is_probed_during_measurement() {
+    fn budget_is_probed_during_measurement() -> TestResult {
         let mut m = Manager::new(QomegaContext::new(), 8);
-        let state = ghz(&mut m, 8);
+        let state = ghz(&mut m, 8)?;
         m.set_budget(crate::error::RunBudget::unlimited().with_deadline(std::time::Duration::ZERO));
         let err = m
             .try_measure_qubit(&state, 0, false)
             .expect_err("a zero deadline must fire inside the measurement pass");
         assert!(err.is_budget(), "unexpected error {err}");
+        Ok(())
     }
 }

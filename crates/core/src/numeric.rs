@@ -105,10 +105,10 @@ impl WeightContext for NumericContext {
             tol: self.tol,
             index,
         };
-        let z = t.intern(Complex64::ZERO);
-        let o = t.intern(Complex64::ONE);
-        debug_assert_eq!(z, WeightId::ZERO);
-        debug_assert_eq!(o, WeightId::ONE);
+        // an empty table has ids to spare: interning the constants cannot fail
+        let z = t.try_intern(Complex64::ZERO);
+        let o = t.try_intern(Complex64::ONE);
+        debug_assert!(matches!((z, o), (Ok(WeightId::ZERO), Ok(WeightId::ONE))));
         t
     }
 
@@ -346,43 +346,51 @@ impl WeightTable for NumericTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aq_testutil::TestResult;
 
     #[test]
-    fn table_interns_constants_first() {
+    fn table_interns_constants_first() -> TestResult {
         let ctx = NumericContext::new();
         let mut t = ctx.new_table();
         assert_eq!(*t.get(WeightId::ZERO), Complex64::ZERO);
         assert_eq!(*t.get(WeightId::ONE), Complex64::ONE);
-        assert_eq!(t.intern(Complex64::ZERO), WeightId::ZERO);
-        assert_eq!(t.intern(Complex64::new(-0.0, 0.0)), WeightId::ZERO);
+        assert_eq!(t.try_intern(Complex64::ZERO)?, WeightId::ZERO);
+        assert_eq!(t.try_intern(Complex64::new(-0.0, 0.0))?, WeightId::ZERO);
+        Ok(())
     }
 
     #[test]
-    fn exact_table_distinguishes_ulps() {
+    fn exact_table_distinguishes_ulps() -> TestResult {
         let ctx = NumericContext::new();
         let mut t = ctx.new_table();
-        let a = t.intern(Complex64::new(1.0 / 3.0, 0.0));
-        let b = t.intern(Complex64::new(1.0 / 3.0 + f64::EPSILON, 0.0));
+        let a = t.try_intern(Complex64::new(1.0 / 3.0, 0.0))?;
+        let b = t.try_intern(Complex64::new(1.0 / 3.0 + f64::EPSILON, 0.0))?;
         assert_ne!(a, b, "ε = 0 must not merge distinct doubles");
-        assert_eq!(t.intern(Complex64::new(1.0 / 3.0, 0.0)), a);
+        assert_eq!(t.try_intern(Complex64::new(1.0 / 3.0, 0.0))?, a);
+        Ok(())
     }
 
     #[test]
-    fn tolerant_table_merges_close_values() {
+    fn tolerant_table_merges_close_values() -> TestResult {
         let ctx = NumericContext::with_eps(1e-10);
         let mut t = ctx.new_table();
-        let a = t.intern(Complex64::new(0.5, 0.25));
-        let b = t.intern(Complex64::new(0.5 + 1e-12, 0.25 - 1e-12));
+        let a = t.try_intern(Complex64::new(0.5, 0.25))?;
+        let b = t.try_intern(Complex64::new(0.5 + 1e-12, 0.25 - 1e-12))?;
         assert_eq!(a, b);
-        let c = t.intern(Complex64::new(0.5 + 1e-9, 0.25));
+        let c = t.try_intern(Complex64::new(0.5 + 1e-9, 0.25))?;
         assert_ne!(a, c);
+        Ok(())
     }
 
     #[test]
-    fn near_one_snaps_to_the_one_id() {
+    fn near_one_snaps_to_the_one_id() -> TestResult {
         let ctx = NumericContext::with_eps(1e-6);
         let mut t = ctx.new_table();
-        assert_eq!(t.intern(Complex64::new(1.0 + 1e-8, -1e-9)), WeightId::ONE);
+        assert_eq!(
+            t.try_intern(Complex64::new(1.0 + 1e-8, -1e-9))?,
+            WeightId::ONE
+        );
+        Ok(())
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! *diagram* sizes, not the `2ⁿ` dimensions — the reason decision diagrams
 //! work at all (Sec. II-B of the paper).
 //!
-//! Every operation comes in a fallible `try_*` form that surfaces budget
-//! exhaustion as a structured [`EngineError`] (the recursion unwinds
-//! cleanly: partial sub-results stay interned but no invariant is broken)
-//! plus the historical infallible form that panics.
+//! Every operation is fallible (`try_*`) and surfaces budget exhaustion as
+//! a structured [`EngineError`] (the recursion unwinds cleanly: partial
+//! sub-results stay interned but no invariant is broken).
 
 use crate::edge::{Edge, MatId, VecId};
 use crate::error::EngineError;
@@ -28,15 +27,6 @@ impl<W: WeightContext> Manager<W> {
         b: &Edge<VecId>,
     ) -> Result<Edge<VecId>, EngineError> {
         self.add_vec_rec(*a, *b)
-    }
-
-    /// Like [`Manager::try_vec_add`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed.
-    pub fn vec_add(&mut self, a: &Edge<VecId>, b: &Edge<VecId>) -> Edge<VecId> {
-        self.try_vec_add(a, b).unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[allow(clippy::needless_range_loop)] // index mirrors the child layout
@@ -97,15 +87,6 @@ impl<W: WeightContext> Manager<W> {
         b: &Edge<MatId>,
     ) -> Result<Edge<MatId>, EngineError> {
         self.add_mat_rec(*a, *b)
-    }
-
-    /// Like [`Manager::try_mat_add`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed.
-    pub fn mat_add(&mut self, a: &Edge<MatId>, b: &Edge<MatId>) -> Edge<MatId> {
-        self.try_mat_add(a, b).unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[allow(clippy::needless_range_loop)] // index mirrors the child layout
@@ -178,15 +159,6 @@ impl<W: WeightContext> Manager<W> {
         })
     }
 
-    /// Like [`Manager::try_mat_vec`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed.
-    pub fn mat_vec(&mut self, m: &Edge<MatId>, v: &Edge<VecId>) -> Edge<VecId> {
-        self.try_mat_vec(m, v).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Product of two *normalized* nodes (weight-1 edges) — cacheable by
     /// node ids alone thanks to normalization.
     #[allow(clippy::needless_range_loop)] // (row, col) indexing mirrors the block structure
@@ -252,15 +224,6 @@ impl<W: WeightContext> Manager<W> {
         } else {
             Edge { w, n: sub.n }
         })
-    }
-
-    /// Like [`Manager::try_mat_mul`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed.
-    pub fn mat_mul(&mut self, a: &Edge<MatId>, b: &Edge<MatId>) -> Edge<MatId> {
-        self.try_mat_mul(a, b).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn mm_rec(&mut self, a: MatId, b: MatId) -> Result<Edge<MatId>, EngineError> {
@@ -342,15 +305,6 @@ impl<W: WeightContext> Manager<W> {
         self.scale_vec(*e, w)
     }
 
-    /// Like [`Manager::try_vec_scale`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed.
-    pub fn vec_scale(&mut self, e: &Edge<VecId>, w: WeightId) -> Edge<VecId> {
-        self.try_vec_scale(e, w).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Scales a matrix DD by an interned weight.
     ///
     /// # Errors
@@ -362,14 +316,5 @@ impl<W: WeightContext> Manager<W> {
         w: WeightId,
     ) -> Result<Edge<MatId>, EngineError> {
         self.scale_mat(*e, w)
-    }
-
-    /// Like [`Manager::try_mat_scale`] but panics on budget exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a budget limit is crossed.
-    pub fn mat_scale(&mut self, e: &Edge<MatId>, w: WeightId) -> Edge<MatId> {
-        self.try_mat_scale(e, w).unwrap_or_else(|e| panic!("{e}"))
     }
 }

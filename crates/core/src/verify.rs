@@ -1,5 +1,5 @@
 //! Verification-oriented operations: exact inner products, operator
-//! adjoints, Kronecker composition and measurement sampling.
+//! adjoints and Kronecker composition.
 //!
 //! These are the design-task payoffs of an exact representation that the
 //! paper highlights (Sec. V-B): with canonical algebraic diagrams,
@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use crate::edge::{Edge, MatId, VecId};
+use crate::error::EngineError;
 use crate::manager::Manager;
 use crate::weight::{WeightContext, WeightId, WeightTable};
 
@@ -25,12 +26,13 @@ impl<W: WeightContext> Manager<W> {
     /// use aq_dd::{GateMatrix, Manager, QomegaContext, WeightContext};
     ///
     /// let mut m = Manager::new(QomegaContext::new(), 2);
-    /// let z = m.basis_state(0);
-    /// let h = m.gate(&GateMatrix::h(), 0, &[]);
-    /// let plus = m.mat_vec(&h, &z);
+    /// let z = m.try_basis_state(0)?;
+    /// let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
+    /// let plus = m.try_mat_vec(&h, &z)?;
     /// // ⟨0|+⟩ = 1/√2, exactly:
     /// let ip = m.inner_product(&z, &plus);
     /// assert_eq!(ip, m.ctx().from_exact(&aq_rings::Domega::one_over_sqrt2()));
+    /// # Ok::<(), aq_dd::EngineError>(())
     /// ```
     pub fn inner_product(&mut self, a: &Edge<VecId>, b: &Edge<VecId>) -> W::Value {
         if a.is_zero() || b.is_zero() {
@@ -83,42 +85,51 @@ impl<W: WeightContext> Manager<W> {
     /// With it, unitarity is an O(1) check after one multiplication:
     /// `U · U† == identity()`.
     ///
+    /// # Errors
+    ///
+    /// Fails when a budget limit is crossed.
+    ///
     /// # Examples
     ///
     /// ```
     /// use aq_dd::{GateMatrix, Manager, QomegaContext};
     ///
     /// let mut m = Manager::new(QomegaContext::new(), 2);
-    /// let t = m.gate(&GateMatrix::t(), 1, &[(0, true)]);
-    /// let tdg = m.mat_adjoint(&t);
-    /// let prod = m.mat_mul(&t, &tdg);
-    /// assert_eq!(prod, m.identity());
+    /// let t = m.try_gate(&GateMatrix::t(), 1, &[(0, true)])?;
+    /// let tdg = m.mat_adjoint(&t)?;
+    /// let prod = m.try_mat_mul(&t, &tdg)?;
+    /// assert_eq!(prod, m.try_identity()?);
+    /// # Ok::<(), aq_dd::EngineError>(())
     /// ```
-    pub fn mat_adjoint(&mut self, e: &Edge<MatId>) -> Edge<MatId> {
+    pub fn mat_adjoint(&mut self, e: &Edge<MatId>) -> Result<Edge<MatId>, EngineError> {
         if e.is_zero() {
-            return Edge::ZERO_MAT;
+            return Ok(Edge::ZERO_MAT);
         }
         let mut memo = HashMap::new();
-        let sub = self.adj_rec(e.n, &mut memo);
+        let sub = self.adj_rec(e.n, &mut memo)?;
         let w = self.ctx.conj(self.table.get(e.w));
-        let wid = self.intern(w);
-        let top = self.w_mul(wid, sub.w);
-        if top == WeightId::ZERO {
+        let wid = self.try_intern(w)?;
+        let top = self.try_w_mul(wid, sub.w)?;
+        Ok(if top == WeightId::ZERO {
             Edge::ZERO_MAT
         } else {
             Edge { w: top, n: sub.n }
-        }
+        })
     }
 
-    fn adj_rec(&mut self, n: MatId, memo: &mut HashMap<MatId, Edge<MatId>>) -> Edge<MatId> {
+    fn adj_rec(
+        &mut self,
+        n: MatId,
+        memo: &mut HashMap<MatId, Edge<MatId>>,
+    ) -> Result<Edge<MatId>, EngineError> {
         if n.is_terminal() {
-            return Edge {
+            return Ok(Edge {
                 w: WeightId::ONE,
                 n: MatId::TERMINAL,
-            };
+            });
         }
         if let Some(&hit) = memo.get(&n) {
-            return hit;
+            return Ok(hit);
         }
         let node = self.mat_nodes[n.0 as usize];
         // transpose: (r,c) ↦ (c,r), i.e. children 1 and 2 swap
@@ -129,10 +140,10 @@ impl<W: WeightContext> Manager<W> {
             if c.is_zero() {
                 continue;
             }
-            let sub = self.adj_rec(c.n, memo);
+            let sub = self.adj_rec(c.n, memo)?;
             let w = self.ctx.conj(self.table.get(c.w));
-            let wid = self.intern(w);
-            let combined = self.w_mul(wid, sub.w);
+            let wid = self.try_intern(w)?;
+            let combined = self.try_w_mul(wid, sub.w)?;
             if combined != WeightId::ZERO {
                 children[i] = Edge {
                     w: combined,
@@ -140,77 +151,19 @@ impl<W: WeightContext> Manager<W> {
                 };
             }
         }
-        let e = self.make_mat_node(node.var, children);
+        let e = self.try_make_mat_node(node.var, children)?;
         memo.insert(n, e);
-        e
-    }
-
-    /// Samples a computational-basis measurement outcome from a state DD.
-    ///
-    /// `unit_random` must return values uniform in `[0, 1)`; branch
-    /// probabilities are computed from the (converted) weights, so the
-    /// sampling distribution matches [`Manager::amplitudes`] squared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is the zero edge (nothing to measure).
-    pub fn sample_measurement(
-        &mut self,
-        e: &Edge<VecId>,
-        mut unit_random: impl FnMut() -> f64,
-    ) -> u64 {
-        assert!(!e.is_zero(), "cannot measure the zero vector");
-        let mut norms: HashMap<VecId, f64> = HashMap::new();
-        let total = self.subtree_norm(e.n, &mut norms);
-        debug_assert!(total > 0.0, "state has zero norm");
-
-        let mut outcome = 0u64;
-        let mut node = e.n;
-        while !node.is_terminal() {
-            let n = self.vec_nodes[node.0 as usize];
-            let weight_prob = |m: &mut Self, c: Edge<VecId>, norms: &mut HashMap<VecId, f64>| {
-                if c.is_zero() {
-                    0.0
-                } else {
-                    let w = m.ctx.to_complex(m.table.get(c.w)).norm_sqr();
-                    w * m.subtree_norm(c.n, norms)
-                }
-            };
-            let p0 = weight_prob(self, n.children[0], &mut norms);
-            let p1 = weight_prob(self, n.children[1], &mut norms);
-            let r = unit_random() * (p0 + p1);
-            let bit = usize::from(r >= p0);
-            outcome = (outcome << 1) | bit as u64;
-            node = n.children[bit].n;
-        }
-        outcome
-    }
-
-    /// Squared norm of the sub-vector rooted at `n` (weight-1 edge).
-    fn subtree_norm(&mut self, n: VecId, memo: &mut HashMap<VecId, f64>) -> f64 {
-        if n.is_terminal() {
-            return 1.0;
-        }
-        if let Some(&hit) = memo.get(&n) {
-            return hit;
-        }
-        let node = self.vec_nodes[n.0 as usize];
-        let mut total = 0.0;
-        for c in node.children {
-            if c.is_zero() {
-                continue;
-            }
-            let w = self.ctx.to_complex(self.table.get(c.w)).norm_sqr();
-            total += w * self.subtree_norm(c.n, memo);
-        }
-        memo.insert(n, total);
-        total
+        Ok(e)
     }
 }
 
 /// Kronecker composition of two states from (possibly different) managers
 /// over the same weight system: builds `|a⟩ ⊗ |b⟩` in a fresh manager on
 /// `n_a + n_b` qubits.
+///
+/// # Errors
+///
+/// Fails on weight-table or node-arena overflow in the fresh manager.
 ///
 /// # Examples
 ///
@@ -219,46 +172,47 @@ impl<W: WeightContext> Manager<W> {
 ///
 /// let mut ma = Manager::new(QomegaContext::new(), 1);
 /// let plus = {
-///     let z = ma.basis_state(0);
-///     let h = ma.gate(&GateMatrix::h(), 0, &[]);
-///     ma.mat_vec(&h, &z)
+///     let z = ma.try_basis_state(0)?;
+///     let h = ma.try_gate(&GateMatrix::h(), 0, &[])?;
+///     ma.try_mat_vec(&h, &z)?
 /// };
 /// let mut mb = Manager::new(QomegaContext::new(), 2);
-/// let one = mb.basis_state(0b11);
-/// let (mut m, composed) = kron_states(QomegaContext::new(), (&ma, &plus), (&mb, &one));
+/// let one = mb.try_basis_state(0b11)?;
+/// let (mut m, composed) = kron_states(QomegaContext::new(), (&ma, &plus), (&mb, &one))?;
 /// let amps = m.amplitudes(&composed);
 /// assert!((amps[0b011].re - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
 /// assert!((amps[0b111].re - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
+/// # Ok::<(), aq_dd::EngineError>(())
 /// ```
 pub fn kron_states<W: WeightContext>(
     ctx: W,
     a: (&Manager<W>, &Edge<VecId>),
     b: (&Manager<W>, &Edge<VecId>),
-) -> (Manager<W>, Edge<VecId>) {
+) -> Result<(Manager<W>, Edge<VecId>), EngineError> {
     let (ma, ea) = a;
     let (mb, eb) = b;
     let n = ma.n_qubits() + mb.n_qubits();
     let mut dst = Manager::new(ctx, n);
     if ea.is_zero() || eb.is_zero() {
-        return (dst, Edge::ZERO_VEC);
+        return Ok((dst, Edge::ZERO_VEC));
     }
 
     // copy b shifted below a's levels
     let shift = ma.n_qubits();
     let mut memo_b: HashMap<VecId, Edge<VecId>> = HashMap::new();
-    let b_root = copy_shifted(mb, &mut dst, eb.n, shift, &mut memo_b);
+    let b_root = copy_shifted(mb, &mut dst, eb.n, shift, &mut memo_b)?;
 
     // copy a, grafting b's root (with weight folded in) onto terminals
-    let wb = dst.intern(mb.weight(eb.w).clone());
+    let wb = dst.try_intern(mb.weight(eb.w).clone())?;
     let graft = Edge {
-        w: dst.w_mul(wb, b_root.w),
+        w: dst.try_w_mul(wb, b_root.w)?,
         n: b_root.n,
     };
     let mut memo_a: HashMap<VecId, Edge<VecId>> = HashMap::new();
-    let a_root = graft_above(ma, &mut dst, ea.n, graft, &mut memo_a);
-    let wa = dst.intern(ma.weight(ea.w).clone());
-    let w0 = dst.w_mul(wa, a_root.w);
-    (dst, Edge { w: w0, n: a_root.n })
+    let a_root = graft_above(ma, &mut dst, ea.n, graft, &mut memo_a)?;
+    let wa = dst.try_intern(ma.weight(ea.w).clone())?;
+    let w0 = dst.try_w_mul(wa, a_root.w)?;
+    Ok((dst, Edge { w: w0, n: a_root.n }))
 }
 
 fn copy_shifted<W: WeightContext>(
@@ -267,15 +221,15 @@ fn copy_shifted<W: WeightContext>(
     n: VecId,
     shift: u32,
     memo: &mut HashMap<VecId, Edge<VecId>>,
-) -> Edge<VecId> {
+) -> Result<Edge<VecId>, EngineError> {
     if n.is_terminal() {
-        return Edge {
+        return Ok(Edge {
             w: WeightId::ONE,
             n: VecId::TERMINAL,
-        };
+        });
     }
     if let Some(&hit) = memo.get(&n) {
-        return hit;
+        return Ok(hit);
     }
     let node = src.vec_nodes[n.0 as usize];
     let mut children = [Edge::ZERO_VEC; 2];
@@ -283,9 +237,9 @@ fn copy_shifted<W: WeightContext>(
         if c.is_zero() {
             continue;
         }
-        let sub = copy_shifted(src, dst, c.n, shift, memo);
-        let w = dst.intern(src.weight(c.w).clone());
-        let combined = dst.w_mul(w, sub.w);
+        let sub = copy_shifted(src, dst, c.n, shift, memo)?;
+        let w = dst.try_intern(src.weight(c.w).clone())?;
+        let combined = dst.try_w_mul(w, sub.w)?;
         if combined != WeightId::ZERO {
             children[i] = Edge {
                 w: combined,
@@ -293,9 +247,9 @@ fn copy_shifted<W: WeightContext>(
             };
         }
     }
-    let e = dst.make_vec_node(node.var + shift, children);
+    let e = dst.try_make_vec_node(node.var + shift, children)?;
     memo.insert(n, e);
-    e
+    Ok(e)
 }
 
 fn graft_above<W: WeightContext>(
@@ -304,12 +258,12 @@ fn graft_above<W: WeightContext>(
     n: VecId,
     graft: Edge<VecId>,
     memo: &mut HashMap<VecId, Edge<VecId>>,
-) -> Edge<VecId> {
+) -> Result<Edge<VecId>, EngineError> {
     if n.is_terminal() {
-        return graft;
+        return Ok(graft);
     }
     if let Some(&hit) = memo.get(&n) {
-        return hit;
+        return Ok(hit);
     }
     let node = src.vec_nodes[n.0 as usize];
     let mut children = [Edge::ZERO_VEC; 2];
@@ -317,9 +271,9 @@ fn graft_above<W: WeightContext>(
         if c.is_zero() {
             continue;
         }
-        let sub = graft_above(src, dst, c.n, graft, memo);
-        let w = dst.intern(src.weight(c.w).clone());
-        let combined = dst.w_mul(w, sub.w);
+        let sub = graft_above(src, dst, c.n, graft, memo)?;
+        let w = dst.try_intern(src.weight(c.w).clone())?;
+        let combined = dst.try_w_mul(w, sub.w)?;
         if combined != WeightId::ZERO {
             children[i] = Edge {
                 w: combined,
@@ -327,7 +281,7 @@ fn graft_above<W: WeightContext>(
             };
         }
     }
-    let e = dst.make_vec_node(node.var, children);
+    let e = dst.try_make_vec_node(node.var, children)?;
     memo.insert(n, e);
-    e
+    Ok(e)
 }

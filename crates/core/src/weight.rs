@@ -53,15 +53,6 @@ pub trait WeightTable {
     /// exhausted its 32-bit id space.
     fn try_intern(&mut self, v: Self::Value) -> Result<WeightId, EngineError>;
 
-    /// Like [`WeightTable::try_intern`] but panics on overflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table has exhausted its 32-bit id space.
-    fn intern(&mut self, v: Self::Value) -> WeightId {
-        self.try_intern(v).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Looks up a weight by id.
     ///
     /// # Panics

@@ -1,7 +1,6 @@
 //! Resource-budget behaviour: `try_*` operations must return structured
 //! [`EngineError`]s when a [`RunBudget`] limit is crossed, leaving the
-//! manager's live diagrams intact for partial-result extraction, while
-//! the infallible wrappers panic with the same message.
+//! manager's live diagrams intact for partial-result extraction.
 
 use std::time::Duration;
 
@@ -9,6 +8,7 @@ use aq_dd::{
     Edge, EngineError, GateMatrix, Manager, NumericContext, QomegaContext, RunBudget, VecId,
     WeightContext,
 };
+use aq_testutil::TestResult;
 
 /// Runs H/T layers until an operation fails, returning the error and the
 /// last fully-applied state.
@@ -94,7 +94,7 @@ fn expired_deadline_fails_the_first_operation() {
 }
 
 #[test]
-fn lifting_the_budget_resumes_the_same_manager() {
+fn lifting_the_budget_resumes_the_same_manager() -> TestResult {
     let mut m = Manager::new(QomegaContext::new(), 6);
     m.set_budget(RunBudget::unlimited().with_max_nodes(10));
     let (err, state) = step_until_abort(&mut m, 200);
@@ -102,19 +102,20 @@ fn lifting_the_budget_resumes_the_same_manager() {
     // lift the budget: the identical manager (tables, caches, diagrams)
     // keeps working — aborts never poison engine state
     m.set_budget(RunBudget::unlimited());
-    let h = m.gate(&GateMatrix::h(), 0, &[]);
-    let next = m.mat_vec(&h, &state);
+    let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
+    let next = m.try_mat_vec(&h, &state)?;
     let probs: f64 = m.amplitudes(&next).iter().map(|a| a.norm_sqr()).sum();
     assert!((probs - 1.0).abs() < 1e-9);
+    Ok(())
 }
 
 #[test]
-fn failed_compaction_leaves_roots_valid() {
+fn failed_compaction_leaves_roots_valid() -> TestResult {
     let mut m = Manager::new(QomegaContext::new(), 5);
-    let mut state = m.basis_state(0);
+    let mut state = m.try_basis_state(0)?;
     for q in 0..5 {
-        let h = m.gate(&GateMatrix::h(), q, &[]);
-        state = m.mat_vec(&h, &state);
+        let h = m.try_gate(&GateMatrix::h(), q, &[])?;
+        state = m.try_mat_vec(&h, &state)?;
     }
     let before = m.amplitudes(&state);
     // a budget too small for even the live set: compaction must abort
@@ -133,18 +134,40 @@ fn failed_compaction_leaves_roots_valid() {
             "roots must survive a failed compact"
         );
     }
+    Ok(())
 }
 
 #[test]
-#[should_panic(expected = "node budget exceeded")]
-fn infallible_wrappers_panic_with_the_structured_message() {
+fn adjoint_under_a_crossed_budget_returns_the_error() -> TestResult {
+    let mut m = Manager::new(QomegaContext::new(), 3);
+    let t = m.try_gate(&GateMatrix::t(), 2, &[(0, true)])?;
+    m.set_budget(RunBudget::unlimited().with_max_nodes(m.allocated_nodes()));
+    let err = m.mat_adjoint(&t).expect_err("T† needs fresh nodes");
+    assert!(
+        matches!(err, EngineError::NodeBudgetExceeded { .. }),
+        "{err}"
+    );
+    // the operator built before the abort stays valid
+    m.set_budget(RunBudget::unlimited());
+    let tdg = m.mat_adjoint(&t)?;
+    assert_eq!(m.try_mat_mul(&t, &tdg)?, m.try_identity()?);
+    Ok(())
+}
+
+#[test]
+fn crossed_budget_displays_the_structured_message() {
     let mut m = Manager::new(QomegaContext::new(), 6);
     m.set_budget(RunBudget::unlimited().with_max_nodes(4));
-    let mut state = m.basis_state(0);
-    for q in 0..6 {
-        let h = m.gate(&GateMatrix::h(), q, &[]);
-        state = m.mat_vec(&h, &state);
-    }
+    let mut run = || -> Result<(), EngineError> {
+        let mut state = m.try_basis_state(0)?;
+        for q in 0..6 {
+            let h = m.try_gate(&GateMatrix::h(), q, &[])?;
+            state = m.try_mat_vec(&h, &state)?;
+        }
+        Ok(())
+    };
+    let err = run().expect_err("4 nodes cannot hold the 6-qubit register");
+    assert!(err.to_string().contains("node budget exceeded"), "{err}");
 }
 
 #[test]

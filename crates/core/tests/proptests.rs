@@ -3,7 +3,8 @@
 //! norms, and satisfy canonicity invariants.
 
 use aq_dd::{
-    Edge, GateMatrix, GcdContext, Manager, NumericContext, QomegaContext, VecId, WeightContext,
+    Edge, EngineError, GateMatrix, GcdContext, Manager, NumericContext, QomegaContext, VecId,
+    WeightContext,
 };
 use aq_testutil::proptest::prelude::*;
 
@@ -37,7 +38,11 @@ fn op(n: u32) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply<W: WeightContext>(m: &mut Manager<W>, state: Edge<VecId>, o: &Op) -> Edge<VecId> {
+fn apply<W: WeightContext>(
+    m: &mut Manager<W>,
+    state: Edge<VecId>,
+    o: &Op,
+) -> Result<Edge<VecId>, EngineError> {
     let (g, t, c): (GateMatrix, u32, Vec<(u32, bool)>) = match o {
         Op::H(q) => (GateMatrix::h(), *q, vec![]),
         Op::X(q) => (GateMatrix::x(), *q, vec![]),
@@ -49,8 +54,8 @@ fn apply<W: WeightContext>(m: &mut Manager<W>, state: Edge<VecId>, o: &Op) -> Ed
         Op::Cx(c0, t0) => (GateMatrix::x(), *t0, vec![(*c0, true)]),
         Op::Ccx(c0, c1, t0) => (GateMatrix::x(), *t0, vec![(*c0, true), (*c1, true)]),
     };
-    let gd = m.gate(&g, t, &c);
-    m.mat_vec(&gd, &state)
+    let gd = m.try_gate(&g, t, &c)?;
+    m.try_mat_vec(&gd, &state)
 }
 
 const N: u32 = 4;
@@ -63,13 +68,13 @@ proptest! {
         let mut nm = Manager::new(NumericContext::with_eps(1e-13), N);
         let mut qm = Manager::new(QomegaContext::new(), N);
         let mut gm = Manager::new(GcdContext::new(), N);
-        let mut sn = nm.basis_state(start);
-        let mut sq = qm.basis_state(start);
-        let mut sg = gm.basis_state(start);
+        let mut sn = nm.try_basis_state(start)?;
+        let mut sq = qm.try_basis_state(start)?;
+        let mut sg = gm.try_basis_state(start)?;
         for o in &ops {
-            sn = apply(&mut nm, sn, o);
-            sq = apply(&mut qm, sq, o);
-            sg = apply(&mut gm, sg, o);
+            sn = apply(&mut nm, sn, o)?;
+            sq = apply(&mut qm, sq, o)?;
+            sg = apply(&mut gm, sg, o)?;
         }
         let an = nm.amplitudes(&sn);
         let aq = qm.amplitudes(&sq);
@@ -83,9 +88,9 @@ proptest! {
     #[test]
     fn unitarity_preserves_norm(ops in prop::collection::vec(op(N), 0..30), start in 0u64..16) {
         let mut m = Manager::new(QomegaContext::new(), N);
-        let mut s = m.basis_state(start);
+        let mut s = m.try_basis_state(start)?;
         for o in &ops {
-            s = apply(&mut m, s, o);
+            s = apply(&mut m, s, o)?;
         }
         let norm = m.norm_sqr(&s);
         prop_assert!((norm - 1.0).abs() < 1e-10, "norm drifted: {norm}");
@@ -95,13 +100,13 @@ proptest! {
     fn canonicity_same_state_same_edge(ops in prop::collection::vec(op(N), 0..15), start in 0u64..16) {
         // Build the same state twice in one manager: edges must be equal.
         let mut m = Manager::new(QomegaContext::new(), N);
-        let mut s1 = m.basis_state(start);
-        let mut s2 = m.basis_state(start);
+        let mut s1 = m.try_basis_state(start)?;
+        let mut s2 = m.try_basis_state(start)?;
         for o in &ops {
-            s1 = apply(&mut m, s1, o);
+            s1 = apply(&mut m, s1, o)?;
         }
         for o in &ops {
-            s2 = apply(&mut m, s2, o);
+            s2 = apply(&mut m, s2, o)?;
         }
         prop_assert_eq!(s1, s2);
     }
@@ -112,11 +117,11 @@ proptest! {
         // their diagrams have identical size (only weights differ).
         let mut qm = Manager::new(QomegaContext::new(), N);
         let mut gm = Manager::new(GcdContext::new(), N);
-        let mut sq = qm.basis_state(start);
-        let mut sg = gm.basis_state(start);
+        let mut sq = qm.try_basis_state(start)?;
+        let mut sg = gm.try_basis_state(start)?;
         for o in &ops {
-            sq = apply(&mut qm, sq, o);
-            sg = apply(&mut gm, sg, o);
+            sq = apply(&mut qm, sq, o)?;
+            sg = apply(&mut gm, sg, o)?;
         }
         prop_assert_eq!(qm.vec_nodes(&sq), gm.vec_nodes(&sg));
     }
@@ -124,13 +129,13 @@ proptest! {
     #[test]
     fn compact_is_semantically_identity(ops in prop::collection::vec(op(N), 0..20)) {
         let mut m = Manager::new(GcdContext::new(), N);
-        let mut s = m.basis_state(0);
+        let mut s = m.try_basis_state(0)?;
         for o in &ops {
-            s = apply(&mut m, s, o);
+            s = apply(&mut m, s, o)?;
         }
         let before = m.amplitudes(&s);
         let nodes_before = m.vec_nodes(&s);
-        let (vs, _) = m.compact(&[s], &[]);
+        let (vs, _) = m.try_compact(&[s], &[])?;
         let after = m.amplitudes(&vs[0]);
         prop_assert_eq!(m.vec_nodes(&vs[0]), nodes_before);
         for (a, b) in before.iter().zip(&after) {
@@ -142,25 +147,25 @@ proptest! {
     fn mat_mul_matches_sequential_application(ops in prop::collection::vec(op(3), 1..10), start in 0u64..8) {
         // (G_k ⋯ G_1)|ψ⟩ built as one operator equals step-by-step application.
         let mut m = Manager::new(QomegaContext::new(), 3);
-        let mut u = m.identity();
-        let mut s_seq = m.basis_state(start);
+        let mut u = m.try_identity()?;
+        let mut s_seq = m.try_basis_state(start)?;
         for o in &ops {
-            s_seq = apply(&mut m, s_seq, o);
+            s_seq = apply(&mut m, s_seq, o)?;
             let g = match o {
-                Op::H(q) => m.gate(&GateMatrix::h(), *q, &[]),
-                Op::X(q) => m.gate(&GateMatrix::x(), *q, &[]),
-                Op::Y(q) => m.gate(&GateMatrix::y(), *q, &[]),
-                Op::Z(q) => m.gate(&GateMatrix::z(), *q, &[]),
-                Op::S(q) => m.gate(&GateMatrix::s(), *q, &[]),
-                Op::T(q) => m.gate(&GateMatrix::t(), *q, &[]),
-                Op::Tdg(q) => m.gate(&GateMatrix::tdg(), *q, &[]),
-                Op::Cx(c, t) => m.gate(&GateMatrix::x(), *t, &[(*c, true)]),
-                Op::Ccx(c0, c1, t) => m.gate(&GateMatrix::x(), *t, &[(*c0, true), (*c1, true)]),
+                Op::H(q) => m.try_gate(&GateMatrix::h(), *q, &[])?,
+                Op::X(q) => m.try_gate(&GateMatrix::x(), *q, &[])?,
+                Op::Y(q) => m.try_gate(&GateMatrix::y(), *q, &[])?,
+                Op::Z(q) => m.try_gate(&GateMatrix::z(), *q, &[])?,
+                Op::S(q) => m.try_gate(&GateMatrix::s(), *q, &[])?,
+                Op::T(q) => m.try_gate(&GateMatrix::t(), *q, &[])?,
+                Op::Tdg(q) => m.try_gate(&GateMatrix::tdg(), *q, &[])?,
+                Op::Cx(c, t) => m.try_gate(&GateMatrix::x(), *t, &[(*c, true)])?,
+                Op::Ccx(c0, c1, t) => m.try_gate(&GateMatrix::x(), *t, &[(*c0, true), (*c1, true)])?,
             };
-            u = m.mat_mul(&g, &u);
+            u = m.try_mat_mul(&g, &u)?;
         }
-        let basis = m.basis_state(start);
-        let s_mat = m.mat_vec(&u, &basis);
+        let basis = m.try_basis_state(start)?;
+        let s_mat = m.try_mat_vec(&u, &basis)?;
         prop_assert_eq!(s_mat, s_seq, "canonicity: same state must be the same edge");
     }
 }
@@ -172,12 +177,12 @@ proptest! {
     fn inner_products_are_unitarily_invariant(ops in prop::collection::vec(op(3), 0..12), x in 0u64..8, y in 0u64..8) {
         // ⟨Ua|Ub⟩ = ⟨a|b⟩ for any circuit unitary U, exactly.
         let mut m = Manager::new(QomegaContext::new(), 3);
-        let mut a = m.basis_state(x);
-        let mut b = m.basis_state(y);
+        let mut a = m.try_basis_state(x)?;
+        let mut b = m.try_basis_state(y)?;
         let before = m.inner_product(&a, &b);
         for o in &ops {
-            a = apply(&mut m, a, o);
-            b = apply(&mut m, b, o);
+            a = apply(&mut m, a, o)?;
+            b = apply(&mut m, b, o)?;
         }
         let after = m.inner_product(&a, &b);
         prop_assert_eq!(before, after);
@@ -186,31 +191,31 @@ proptest! {
     #[test]
     fn adjoint_is_an_involution_on_random_unitaries(ops in prop::collection::vec(op(3), 1..10)) {
         let mut m = Manager::new(QomegaContext::new(), 3);
-        let mut u = m.identity();
+        let mut u = m.try_identity()?;
         for o in &ops {
             u = {
                 let g = match o {
-                    Op::H(q) => m.gate(&GateMatrix::h(), *q, &[]),
-                    Op::X(q) => m.gate(&GateMatrix::x(), *q, &[]),
-                    Op::Y(q) => m.gate(&GateMatrix::y(), *q, &[]),
-                    Op::Z(q) => m.gate(&GateMatrix::z(), *q, &[]),
-                    Op::S(q) => m.gate(&GateMatrix::s(), *q, &[]),
-                    Op::T(q) => m.gate(&GateMatrix::t(), *q, &[]),
-                    Op::Tdg(q) => m.gate(&GateMatrix::tdg(), *q, &[]),
-                    Op::Cx(c, t) => m.gate(&GateMatrix::x(), *t, &[(*c, true)]),
+                    Op::H(q) => m.try_gate(&GateMatrix::h(), *q, &[])?,
+                    Op::X(q) => m.try_gate(&GateMatrix::x(), *q, &[])?,
+                    Op::Y(q) => m.try_gate(&GateMatrix::y(), *q, &[])?,
+                    Op::Z(q) => m.try_gate(&GateMatrix::z(), *q, &[])?,
+                    Op::S(q) => m.try_gate(&GateMatrix::s(), *q, &[])?,
+                    Op::T(q) => m.try_gate(&GateMatrix::t(), *q, &[])?,
+                    Op::Tdg(q) => m.try_gate(&GateMatrix::tdg(), *q, &[])?,
+                    Op::Cx(c, t) => m.try_gate(&GateMatrix::x(), *t, &[(*c, true)])?,
                     Op::Ccx(c0, c1, t) => {
-                        m.gate(&GateMatrix::x(), *t, &[(*c0, true), (*c1, true)])
+                        m.try_gate(&GateMatrix::x(), *t, &[(*c0, true), (*c1, true)])?
                     }
                 };
-                m.mat_mul(&g, &u)
+                m.try_mat_mul(&g, &u)?
             };
         }
-        let dag = m.mat_adjoint(&u);
-        let back = m.mat_adjoint(&dag);
+        let dag = m.mat_adjoint(&u)?;
+        let back = m.mat_adjoint(&dag)?;
         prop_assert_eq!(back, u);
         // and unitarity: U·U† = I
-        let prod = m.mat_mul(&u, &dag);
-        let id = m.identity();
+        let prod = m.try_mat_mul(&u, &dag)?;
+        let id = m.try_identity()?;
         prop_assert_eq!(prod, id);
     }
 }
@@ -240,7 +245,7 @@ proptest! {
         };
         let n = 4u32;
         let mut m = Manager::new(NumericContext::with_eps(1e-13), n);
-        let e = m.gate(&gate, target, &controls);
+        let e = m.try_gate(&gate, target, &controls)?;
         let got = m.matrix(&e);
 
         // dense construction straight from the definition

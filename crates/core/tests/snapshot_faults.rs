@@ -4,17 +4,18 @@
 //! a panic and never a silently-wrong diagram.
 
 use aq_dd::{EngineError, GateMatrix, Manager, NumericContext, QomegaContext};
+use aq_testutil::TestResult;
 
 /// A small but non-trivial snapshot: every section is non-empty and the
 /// weight table carries non-constant entries.
-fn sample_snapshot() -> Vec<u8> {
+fn sample_snapshot() -> Result<Vec<u8>, EngineError> {
     let mut m = Manager::new(NumericContext::with_eps(1e-10), 3);
-    let s = m.basis_state(0b010);
-    let h = m.gate(&GateMatrix::h(), 0, &[]);
-    let s = m.mat_vec(&h, &s);
-    let t = m.gate(&GateMatrix::t(), 2, &[(0, true)]);
-    let s = m.mat_vec(&t, &s);
-    m.snapshot_to_bytes(&[s], &[t])
+    let s = m.try_basis_state(0b010)?;
+    let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
+    let s = m.try_mat_vec(&h, &s)?;
+    let t = m.try_gate(&GateMatrix::t(), 2, &[(0, true)])?;
+    let s = m.try_mat_vec(&t, &s)?;
+    Ok(m.snapshot_to_bytes(&[s], &[t]))
 }
 
 fn load(bytes: &[u8]) -> Result<(), EngineError> {
@@ -22,13 +23,14 @@ fn load(bytes: &[u8]) -> Result<(), EngineError> {
 }
 
 #[test]
-fn pristine_snapshot_loads() {
-    load(&sample_snapshot()).expect("uncorrupted snapshot must load");
+fn pristine_snapshot_loads() -> TestResult {
+    load(&sample_snapshot()?).expect("uncorrupted snapshot must load");
+    Ok(())
 }
 
 #[test]
-fn every_truncation_is_rejected_structurally() {
-    let bytes = sample_snapshot();
+fn every_truncation_is_rejected_structurally() -> TestResult {
+    let bytes = sample_snapshot()?;
     for len in 0..bytes.len() {
         let err = load(&bytes[..len]).expect_err("truncated snapshot must not load");
         assert!(
@@ -37,11 +39,12 @@ fn every_truncation_is_rejected_structurally() {
             bytes.len()
         );
     }
+    Ok(())
 }
 
 #[test]
-fn every_single_bit_flip_is_rejected_structurally() {
-    let bytes = sample_snapshot();
+fn every_single_bit_flip_is_rejected_structurally() -> TestResult {
+    let bytes = sample_snapshot()?;
     for i in 0..bytes.len() {
         let mut corrupted = bytes.clone();
         corrupted[i] ^= 1 << (i % 8);
@@ -51,11 +54,12 @@ fn every_single_bit_flip_is_rejected_structurally() {
             "bit flip at byte {i} produced a non-snapshot error: {err}"
         );
     }
+    Ok(())
 }
 
 #[test]
-fn version_skew_is_reported_as_such() {
-    let mut bytes = sample_snapshot();
+fn version_skew_is_reported_as_such() -> TestResult {
+    let mut bytes = sample_snapshot()?;
     // version is the little-endian u32 right after the 8-byte magic
     bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
     let err = load(&bytes).expect_err("foreign version must not load");
@@ -66,20 +70,22 @@ fn version_skew_is_reported_as_such() {
             supported: aq_dd::snapshot::MANAGER_VERSION,
         }
     );
+    Ok(())
 }
 
 #[test]
-fn wrong_context_kind_is_a_mismatch() {
-    let bytes = sample_snapshot();
+fn wrong_context_kind_is_a_mismatch() -> TestResult {
+    let bytes = sample_snapshot()?;
     let err = Manager::snapshot_from_bytes(QomegaContext::new(), &bytes)
         .map(|_| ())
         .expect_err("numeric snapshot must not load into an algebraic context");
     assert!(matches!(err, EngineError::SnapshotMismatch { .. }), "{err}");
+    Ok(())
 }
 
 #[test]
-fn wrong_context_parameters_are_a_mismatch() {
-    let bytes = sample_snapshot();
+fn wrong_context_parameters_are_a_mismatch() -> TestResult {
+    let bytes = sample_snapshot()?;
     for ctx in [
         NumericContext::with_eps(1e-5),
         NumericContext::new(),
@@ -90,6 +96,7 @@ fn wrong_context_parameters_are_a_mismatch() {
             .expect_err("wrong ε or scheme must not load");
         assert!(matches!(err, EngineError::SnapshotMismatch { .. }), "{err}");
     }
+    Ok(())
 }
 
 #[test]
@@ -113,16 +120,16 @@ fn garbage_and_empty_files_are_rejected() {
 }
 
 #[test]
-fn exact_coefficients_fault_injection() {
+fn exact_coefficients_fault_injection() -> TestResult {
     // the algebraic path serializes bigint coefficient strings — corrupt
     // those too
     let mut m = Manager::new(QomegaContext::new(), 3);
-    let mut s = m.basis_state(0);
+    let mut s = m.try_basis_state(0)?;
     for _ in 0..6 {
-        let h = m.gate(&GateMatrix::h(), 1, &[]);
-        let t = m.gate(&GateMatrix::t(), 1, &[]);
-        s = m.mat_vec(&h, &s);
-        s = m.mat_vec(&t, &s);
+        let h = m.try_gate(&GateMatrix::h(), 1, &[])?;
+        let t = m.try_gate(&GateMatrix::t(), 1, &[])?;
+        s = m.try_mat_vec(&h, &s)?;
+        s = m.try_mat_vec(&t, &s)?;
     }
     let bytes = m.snapshot_to_bytes(&[s], &[]);
     Manager::snapshot_from_bytes(QomegaContext::new(), &bytes).expect("pristine loads");
@@ -137,4 +144,5 @@ fn exact_coefficients_fault_injection() {
             .expect_err("corrupted algebraic snapshot must not load");
         assert!(err.is_snapshot(), "byte {i}: {err}");
     }
+    Ok(())
 }

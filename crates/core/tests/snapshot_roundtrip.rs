@@ -4,10 +4,11 @@
 //! products — for both the numeric and the exact algebraic contexts.
 
 use aq_dd::{
-    Edge, EngineStatistics, GateMatrix, Manager, NumericContext, QomegaContext, VecId,
+    Edge, EngineError, EngineStatistics, GateMatrix, Manager, NumericContext, QomegaContext, VecId,
     WeightContext,
 };
 use aq_testutil::proptest::prelude::*;
+use aq_testutil::TestResult;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -31,7 +32,11 @@ fn op(n: u32) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply<W: WeightContext>(m: &mut Manager<W>, state: Edge<VecId>, o: &Op) -> Edge<VecId> {
+fn apply<W: WeightContext>(
+    m: &mut Manager<W>,
+    state: Edge<VecId>,
+    o: &Op,
+) -> Result<Edge<VecId>, EngineError> {
     let (g, t, c): (GateMatrix, u32, Vec<(u32, bool)>) = match o {
         Op::H(q) => (GateMatrix::h(), *q, vec![]),
         Op::X(q) => (GateMatrix::x(), *q, vec![]),
@@ -40,8 +45,8 @@ fn apply<W: WeightContext>(m: &mut Manager<W>, state: Edge<VecId>, o: &Op) -> Ed
         Op::Tdg(q) => (GateMatrix::tdg(), *q, vec![]),
         Op::Cx(c0, t0) => (GateMatrix::x(), *t0, vec![(*c0, true)]),
     };
-    let gd = m.gate(&g, t, &c);
-    m.mat_vec(&gd, &state)
+    let gd = m.try_gate(&g, t, &c)?;
+    m.try_mat_vec(&gd, &state)
 }
 
 /// The counters a reloaded manager must reproduce exactly (cache counters
@@ -59,17 +64,17 @@ fn structural(stats: &EngineStatistics) -> (usize, usize, usize, usize, usize, u
     )
 }
 
-fn roundtrip<W: WeightContext>(ctx: W, ops: &[Op], start: u64)
+fn roundtrip<W: WeightContext>(ctx: W, ops: &[Op], start: u64) -> Result<(), EngineError>
 where
     W::Value: PartialEq + std::fmt::Debug,
 {
     let mut m = Manager::new(ctx.clone(), 4);
-    let mut s = m.basis_state(start);
+    let mut s = m.try_basis_state(start)?;
     for o in ops {
-        s = apply(&mut m, s, o);
+        s = apply(&mut m, s, o)?;
     }
     let ip_before = {
-        let z = m.basis_state(start);
+        let z = m.try_basis_state(start)?;
         m.inner_product(&z, &s)
     };
     let stats_before = m.statistics();
@@ -86,10 +91,11 @@ where
         "node/weight counts must be bit-identical"
     );
     let ip_after = {
-        let z = m2.basis_state(start);
+        let z = m2.try_basis_state(start)?;
         m2.inner_product(&z, &vec_roots[0])
     };
     assert_eq!(ip_before, ip_after, "inner products must match exactly");
+    Ok(())
 }
 
 proptest! {
@@ -97,32 +103,32 @@ proptest! {
 
     #[test]
     fn numeric_snapshot_roundtrips(ops in prop::collection::vec(op(4), 0..25), start in 0u64..16) {
-        roundtrip(NumericContext::with_eps(1e-10), &ops, start);
+        roundtrip(NumericContext::with_eps(1e-10), &ops, start)?;
     }
 
     #[test]
     fn numeric_exact_snapshot_roundtrips(ops in prop::collection::vec(op(4), 0..25), start in 0u64..16) {
-        roundtrip(NumericContext::new(), &ops, start);
+        roundtrip(NumericContext::new(), &ops, start)?;
     }
 
     #[test]
     fn qomega_snapshot_roundtrips(ops in prop::collection::vec(op(4), 0..25), start in 0u64..16) {
-        roundtrip(QomegaContext::new(), &ops, start);
+        roundtrip(QomegaContext::new(), &ops, start)?;
     }
 }
 
 #[test]
-fn snapshot_survives_a_file_round_trip() {
+fn snapshot_survives_a_file_round_trip() -> TestResult {
     let dir = std::env::temp_dir().join("aq_dd_snapshot_roundtrip");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("grover.aqdd");
 
     let mut m = Manager::new(QomegaContext::new(), 3);
-    let s = m.basis_state(0b101);
-    let h = m.gate(&GateMatrix::h(), 0, &[]);
-    let s = m.mat_vec(&h, &s);
-    let cx = m.gate(&GateMatrix::x(), 2, &[(0, true)]);
-    let s = m.mat_vec(&cx, &s);
+    let s = m.try_basis_state(0b101)?;
+    let h = m.try_gate(&GateMatrix::h(), 0, &[])?;
+    let s = m.try_mat_vec(&h, &s)?;
+    let cx = m.try_gate(&GateMatrix::x(), 2, &[(0, true)])?;
+    let s = m.try_mat_vec(&cx, &s)?;
 
     m.save_snapshot(&path, &[s], &[cx]).expect("save");
     let (mut m2, vec_roots, mat_roots) =
@@ -131,10 +137,11 @@ fn snapshot_survives_a_file_round_trip() {
     assert_eq!(mat_roots, vec![cx]);
     assert_eq!(m2.amplitudes(&vec_roots[0]), m.amplitudes(&s));
     std::fs::remove_file(&path).ok();
+    Ok(())
 }
 
 #[test]
-fn gcd_snapshot_roundtrips_inline_and_promoted_coefficients() {
+fn gcd_snapshot_roundtrips_inline_and_promoted_coefficients() -> TestResult {
     use aq_bigint::IBig;
     use aq_dd::GcdContext;
     use aq_rings::{Domega, Zomega};
@@ -160,11 +167,11 @@ fn gcd_snapshot_roundtrips_inline_and_promoted_coefficients() {
         )),
     ];
     let mut m = Manager::new(GcdContext::new(), 2);
-    let s = m.basis_state(0);
+    let s = m.try_basis_state(0)?;
     let mut ids = Vec::new();
     for v in &values {
         assert!(v.is_reduced(), "test values must be canonical");
-        ids.push(m.intern(v.clone()));
+        ids.push(m.try_intern(v.clone())?);
     }
     // mixed-repr forms must round-trip the decimal-string serialization
     let bytes = m.snapshot_to_bytes(&[s], &[]);
@@ -181,18 +188,20 @@ fn gcd_snapshot_roundtrips_inline_and_promoted_coefficients() {
     assert!(m2.weight(ids[1]).numerator().is_inline());
     assert!(!m2.weight(ids[2]).numerator().is_inline());
     assert!(!m2.weight(ids[3]).numerator().is_inline());
+    Ok(())
 }
 
 #[test]
-fn gcd_context_snapshot_roundtrips() {
+fn gcd_context_snapshot_roundtrips() -> TestResult {
     use aq_dd::GcdContext;
     let mut m = Manager::new(GcdContext::new(), 3);
-    let mut s = m.basis_state(0);
+    let mut s = m.try_basis_state(0)?;
     for o in [Op::H(0), Op::T(0), Op::Cx(0, 2), Op::S(1), Op::Tdg(2)] {
-        s = apply(&mut m, s, &o);
+        s = apply(&mut m, s, &o)?;
     }
     let bytes = m.snapshot_to_bytes(&[s], &[]);
     let (m2, roots, _) = Manager::snapshot_from_bytes(GcdContext::new(), &bytes).expect("load");
     assert_eq!(roots, vec![s]);
     assert_eq!(structural(&m2.statistics()), structural(&m.statistics()));
+    Ok(())
 }

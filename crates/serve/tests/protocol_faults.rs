@@ -122,6 +122,64 @@ fn malformed_requests_get_structured_errors_and_keep_the_connection() {
 }
 
 #[test]
+fn repeated_qasm_operands_are_rejected_and_the_server_keeps_serving() {
+    let h = start_server("repeated-operands");
+    let mut client = TcpClient::connect(h.addr).expect("connect");
+    for stmt in ["cx q[0],q[0];", "swap q[1],q[1];"] {
+        let submit = format!(
+            r#"{{"verb":"submit","qasm":"OPENQASM 2.0;\nqreg q[2];\n{stmt}\n","budget":{{"max_nodes":100000}}}}"#
+        );
+        let response = client.roundtrip(&submit).expect("roundtrip");
+        let json = Json::parse(&response).expect("JSON");
+        assert_eq!(
+            json.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{response}"
+        );
+        assert_eq!(
+            json.get("state").and_then(Json::as_str),
+            Some("rejected"),
+            "{stmt}: {response}"
+        );
+        assert!(
+            json.get("reason")
+                .and_then(Json::as_str)
+                .is_some_and(|r| r.contains("line 3") && r.contains("must be distinct")),
+            "{stmt}: {response}"
+        );
+    }
+
+    // the same server still runs a valid job to completion
+    let response = client
+        .roundtrip(
+            r#"{"verb":"submit","qasm":"OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n","budget":{"max_nodes":100000}}"#,
+        )
+        .expect("roundtrip");
+    let json = Json::parse(&response).expect("JSON");
+    let id = json
+        .get("job")
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("valid job admitted: {response}"));
+    let response = client
+        .roundtrip(&format!(
+            r#"{{"verb":"wait","job":{id},"timeout_secs":60}}"#
+        ))
+        .expect("wait");
+    let json = Json::parse(&response).expect("JSON");
+    assert_eq!(
+        json.get("state").and_then(Json::as_str),
+        Some("completed"),
+        "{response}"
+    );
+
+    let shutdown = client
+        .roundtrip(r#"{"verb":"shutdown"}"#)
+        .expect("shutdown");
+    assert!(shutdown.contains("\"ok\":true"), "{shutdown}");
+    h.server_thread.join().expect("server exits cleanly");
+}
+
+#[test]
 fn random_garbage_bytes_never_panic_the_server() {
     let h = start_server("garbage");
     let mut rng = Rng::from_seed(0xFA17);

@@ -2,10 +2,10 @@
 //! reference (footnote 8 of the paper).
 
 use aq_circuits::Circuit;
-use aq_dd::{QomegaContext, WeightContext};
+use aq_dd::{EngineError, QomegaContext, WeightContext};
 use aq_rings::Complex64;
 
-use crate::simulator::{SimOptions, Simulator};
+use crate::simulator::{SimError, SimOptions, Simulator};
 use crate::trace::Trace;
 
 /// The paper's accuracy metric: Euclidean norm of `v_num/‖v_num‖ − v_alg`.
@@ -65,12 +65,17 @@ impl<'c, W: WeightContext> PairedRun<'c, W> {
 
     /// Runs both simulations to completion, returning the subject's trace
     /// (with error samples) and the reference's trace.
-    pub fn run(mut self) -> (Trace, Trace) {
+    ///
+    /// # Errors
+    ///
+    /// Fails if an operation is not representable in either weight system
+    /// or a budget limit is crossed.
+    pub fn run(mut self) -> Result<(Trace, Trace), SimError> {
         let mut subject_trace = Trace::default();
         let mut reference_trace = Trace::default();
         loop {
-            let more = self.subject.step();
-            let more_ref = self.reference.step();
+            let more = self.subject.try_step()?;
+            let more_ref = self.reference.try_step()?;
             debug_assert_eq!(more, more_ref, "paired simulations desynchronised");
             if !more {
                 break;
@@ -98,7 +103,7 @@ impl<'c, W: WeightContext> PairedRun<'c, W> {
         }
         subject_trace.engine = Some(self.subject.statistics());
         reference_trace.engine = Some(self.reference.statistics());
-        (subject_trace, reference_trace)
+        Ok((subject_trace, reference_trace))
     }
 }
 
@@ -107,12 +112,13 @@ impl<'c, W: WeightContext> PairedRun<'c, W> {
 /// equivalence check of Sec. V-B (after the two builds).
 ///
 /// With an algebraic context the answer is *exact*; with a numeric one it
-/// inherits the tolerance semantics (and the paper's trade-off).
+/// inherits the tolerance semantics (and the paper's trade-off). Circuits
+/// of different widths are not equivalent.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the circuits have different widths, or an operation is not
-/// representable in the weight system.
+/// Fails if an operation is not representable in the weight system or a
+/// budget limit is crossed.
 ///
 /// # Examples
 ///
@@ -126,22 +132,30 @@ impl<'c, W: WeightContext> PairedRun<'c, W> {
 ///     a.push_gate(GateMatrix::t(), 0, &[]);
 /// }
 /// let identity = Circuit::new(1);
-/// assert!(circuits_equivalent(QomegaContext::new(), &a, &identity));
+/// assert!(circuits_equivalent(QomegaContext::new(), &a, &identity)?);
+/// # Ok::<(), aq_dd::EngineError>(())
 /// ```
-pub fn circuits_equivalent<W: WeightContext>(ctx: W, a: &Circuit, b: &Circuit) -> bool {
-    assert_eq!(a.n_qubits(), b.n_qubits(), "circuit width mismatch");
+pub fn circuits_equivalent<W: WeightContext>(
+    ctx: W,
+    a: &Circuit,
+    b: &Circuit,
+) -> Result<bool, EngineError> {
+    if a.n_qubits() != b.n_qubits() {
+        return Ok(false);
+    }
     // Both unitaries are built in ONE manager; canonicity makes the final
     // comparison a root-edge equality.
     let mut m = aq_dd::Manager::new(ctx, a.n_qubits());
-    let ua = crate::circuit_unitary(&mut m, a);
-    let ub = crate::circuit_unitary(&mut m, b);
-    ua == ub
+    let ua = crate::try_circuit_unitary(&mut m, a)?;
+    let ub = crate::try_circuit_unitary(&mut m, b)?;
+    Ok(ua == ub)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aq_dd::NumericContext;
+    use aq_testutil::TestResult;
 
     #[test]
     fn distance_of_identical_vectors_is_zero() {
@@ -171,10 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn paired_run_on_small_grover() {
+    fn paired_run_on_small_grover() -> TestResult {
         let circuit = aq_circuits::grover(4, 5);
         let pair = PairedRun::new(NumericContext::with_eps(1e-13), &circuit, 10);
-        let (subject, reference) = pair.run();
+        let (subject, reference) = pair.run()?;
         assert_eq!(subject.points.len(), circuit.len());
         assert_eq!(reference.points.len(), circuit.len());
         // tolerant doubles track the exact result closely on a tiny case
@@ -182,5 +196,6 @@ mod tests {
         assert!(err < 1e-9, "unexpectedly large error {err}");
         // the algebraic reference stays compact
         assert!(reference.peak_nodes() <= 16);
+        Ok(())
     }
 }

@@ -18,11 +18,12 @@
 //!
 //! let circuit = grover(4, 11);
 //! let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-//! let result = sim.run();
+//! let result = sim.try_run()?;
 //! // Grover amplifies the marked element:
 //! let probs = result.probabilities();
 //! let best = probs.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|x| x.0);
 //! assert_eq!(best, Some(11));
+//! # Ok::<(), Box<aq_sim::SimAbort>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,8 +49,7 @@ pub use checkpoint::{
 };
 pub use job::{run_job, JobAbortInfo, JobOutcome, JobSpec, SampleParams, SchemeSpec};
 pub use operators::{
-    circuit_unitary, matching_evolution, op_operator, permutation, try_circuit_unitary,
-    try_matching_evolution, try_op_operator, try_permutation,
+    try_circuit_unitary, try_matching_evolution, try_op_operator, try_permutation,
 };
 pub use report::{write_csv, Column};
 pub use sample::{SampleProbability, SampleReport};

@@ -33,16 +33,6 @@ pub fn try_op_operator<W: WeightContext>(
     }
 }
 
-/// Like [`try_op_operator`] but panics on failure.
-///
-/// # Panics
-///
-/// Panics if a gate entry is not representable in the weight system
-/// (compile to Clifford+T first) or when a budget limit is crossed.
-pub fn op_operator<W: WeightContext>(m: &mut Manager<W>, op: &Op) -> Edge<MatId> {
-    try_op_operator(m, op).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Builds the unitary of a whole circuit by matrix–matrix multiplication
 /// in the given manager — the operator-level design task (synthesis,
 /// equivalence checking) of the paper's introduction.
@@ -70,16 +60,6 @@ pub fn try_circuit_unitary<W: WeightContext>(
         u = m.try_mat_mul(&g, &u)?;
     }
     Ok(u)
-}
-
-/// Like [`try_circuit_unitary`] but panics on failure.
-///
-/// # Panics
-///
-/// Panics if the circuit width differs from the manager's, or an
-/// operation is not representable, or a budget limit is crossed.
-pub fn circuit_unitary<W: WeightContext>(m: &mut Manager<W>, circuit: &Circuit) -> Edge<MatId> {
-    try_circuit_unitary(m, circuit).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// `exp(−i·π/4·A_M) = I + (1/√2 − 1)·D_M − (i/√2)·P_M` where `D_M`
@@ -124,18 +104,6 @@ pub fn try_matching_evolution<W: WeightContext>(
     Ok(acc)
 }
 
-/// Like [`try_matching_evolution`] but panics on budget exhaustion.
-///
-/// # Panics
-///
-/// Panics when a budget limit is crossed.
-pub fn matching_evolution<W: WeightContext>(
-    m: &mut Manager<W>,
-    pairs: &[(u64, u64)],
-) -> Edge<MatId> {
-    try_matching_evolution(m, pairs).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// The permutation operator `Σ_x |map[x]⟩⟨x|` as the identity plus
 /// corrections on the moved points.
 ///
@@ -165,24 +133,16 @@ pub fn try_permutation<W: WeightContext>(
     Ok(acc)
 }
 
-/// Like [`try_permutation`] but panics on budget exhaustion.
-///
-/// # Panics
-///
-/// Panics when a budget limit is crossed.
-pub fn permutation<W: WeightContext>(m: &mut Manager<W>, map: &[u64]) -> Edge<MatId> {
-    try_permutation(m, map).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aq_dd::QomegaContext;
+    use aq_testutil::TestResult;
 
     #[test]
-    fn permutation_operator_is_a_permutation_matrix() {
+    fn permutation_operator_is_a_permutation_matrix() -> TestResult {
         let mut m = Manager::new(QomegaContext::new(), 2);
-        let p = permutation(&mut m, &[2, 0, 3, 1]);
+        let p = try_permutation(&mut m, &[2, 0, 3, 1])?;
         let mat = m.matrix(&p);
         for (x, &y) in [2usize, 0, 3, 1].iter().enumerate() {
             for (r, row) in mat.iter().enumerate() {
@@ -191,12 +151,13 @@ mod tests {
                 assert!(row[x].im.abs() < 1e-12);
             }
         }
+        Ok(())
     }
 
     #[test]
-    fn matching_evolution_blocks() {
+    fn matching_evolution_blocks() -> TestResult {
         let mut m = Manager::new(QomegaContext::new(), 2);
-        let e = matching_evolution(&mut m, &[(0, 3)]);
+        let e = try_matching_evolution(&mut m, &[(0, 3)])?;
         let mat = m.matrix(&e);
         let s = std::f64::consts::FRAC_1_SQRT_2;
         // matched pair (0,3): 2×2 rotation block
@@ -208,21 +169,23 @@ mod tests {
         assert!((mat[1][1].re - 1.0).abs() < 1e-12);
         assert!((mat[2][2].re - 1.0).abs() < 1e-12);
         assert!(mat[1][2].abs() < 1e-12);
+        Ok(())
     }
 
     #[test]
-    fn circuit_unitary_matches_stepwise_simulation() {
+    fn circuit_unitary_matches_stepwise_simulation() -> TestResult {
         let circuit = aq_circuits::grover(4, 9);
         let mut m = Manager::new(QomegaContext::new(), 4);
-        let u = circuit_unitary(&mut m, &circuit);
-        let z = m.basis_state(0);
-        let via_matrix = m.mat_vec(&u, &z);
+        let u = try_circuit_unitary(&mut m, &circuit)?;
+        let z = m.try_basis_state(0)?;
+        let via_matrix = m.try_mat_vec(&u, &z)?;
 
         let mut sim = crate::Simulator::new(QomegaContext::new(), &circuit);
-        let via_steps = sim.run().amplitudes;
+        let via_steps = sim.try_run()?.amplitudes;
         let got = m.amplitudes(&via_matrix);
         for (a, b) in got.iter().zip(&via_steps) {
             assert!((*a - *b).abs() < 1e-12);
         }
+        Ok(())
     }
 }

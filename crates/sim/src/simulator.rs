@@ -27,8 +27,6 @@ pub struct SimOptions {
     /// are identical either way because the caches are lossy memoisation.
     pub cache_capacity: Option<usize>,
     /// Resource budget installed into the manager (unlimited by default).
-    /// With a budget set, prefer the `try_*` entry points: the infallible
-    /// ones panic when a limit is crossed.
     pub budget: RunBudget,
     /// When set, [`Simulator::try_run`] dumps a checkpoint to this path on
     /// a budget abort, so a later process can [`Simulator::resume`] the
@@ -250,16 +248,6 @@ impl<'c, W: WeightContext> Simulator<'c, W> {
         Ok(())
     }
 
-    /// Restarts from the basis state `|index⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range, or when a budget limit is
-    /// crossed while building the state.
-    pub fn reset_to(&mut self, index: u64) {
-        self.try_reset_to(index).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// The underlying manager (for extraction helpers).
     pub fn manager(&self) -> &Manager<W> {
         &self.manager
@@ -343,16 +331,6 @@ impl<'c, W: WeightContext> Simulator<'c, W> {
         Ok(true)
     }
 
-    /// Like [`Simulator::try_step`] but panics on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operation is not representable in the weight system
-    /// (compile to Clifford+T first) or a budget limit is crossed.
-    pub fn step(&mut self) -> bool {
-        self.try_step().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Current state DD size.
     pub fn nodes(&self) -> usize {
         self.manager.vec_nodes(&self.state)
@@ -416,16 +394,6 @@ impl<'c, W: WeightContext> Simulator<'c, W> {
             trace,
             statistics: self.manager.statistics(),
         })
-    }
-
-    /// Like [`Simulator::try_run`] but panics on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operation is not representable in the weight system
-    /// or a budget limit is crossed.
-    pub fn run(&mut self) -> SimResult {
-        self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Writes a checkpoint of this simulator to `path`: the full manager
@@ -574,16 +542,6 @@ impl<'c, W: WeightContext> Simulator<'c, W> {
             }
         }
         Ok(u)
-    }
-
-    /// Like [`Simulator::try_build_unitary`] but panics on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operation is not representable in the weight system
-    /// or a budget limit is crossed.
-    pub fn build_unitary(&mut self) -> Edge<MatId> {
-        self.try_build_unitary().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds (or fetches) the operator DD for one circuit operation.

@@ -9,6 +9,7 @@ use std::path::PathBuf;
 use aq_circuits::{grover, Circuit};
 use aq_dd::{EngineError, NumericContext, QomegaContext, RunBudget};
 use aq_sim::{peek_checkpoint, SimOptions, Simulator};
+use aq_testutil::TestResult;
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("aq_sim_checkpoint_tests");
@@ -37,7 +38,7 @@ fn aborted_run(name: &str) -> (Circuit, PathBuf) {
 }
 
 #[test]
-fn resumed_run_matches_an_uninterrupted_one() {
+fn resumed_run_matches_an_uninterrupted_one() -> TestResult {
     let (circuit, path) = aborted_run("resume_matches.aqckp");
 
     let info = peek_checkpoint(&path).expect("peek");
@@ -62,7 +63,7 @@ fn resumed_run_matches_an_uninterrupted_one() {
     let result = resumed.try_run().expect("unlimited budget completes");
 
     let mut uninterrupted = Simulator::new(NumericContext::with_eps(1e-10), &circuit);
-    let expected = uninterrupted.run();
+    let expected = uninterrupted.try_run()?;
 
     // Bit-identical, not approximately equal: the checkpoint stores the
     // full uncompacted weight table, so the resumed run replays the exact
@@ -70,6 +71,7 @@ fn resumed_run_matches_an_uninterrupted_one() {
     assert_eq!(result.amplitudes, expected.amplitudes);
     assert_eq!(result.final_nodes, expected.final_nodes);
     std::fs::remove_file(&path).ok();
+    Ok(())
 }
 
 #[test]

@@ -7,6 +7,7 @@ use aq_dd::{GateEntry, QomegaContext};
 use aq_rings::Complex64;
 use aq_sim::{normalized_distance, Simulator};
 use aq_testutil::proptest::prelude::*;
+use aq_testutil::TestResult;
 
 /// Plain `2ⁿ`-vector simulation of a circuit (the “straight-forward
 /// representation” the paper's Sec. II-B contrasts DDs with).
@@ -80,26 +81,28 @@ fn dense_simulate(circuit: &Circuit, start: u64) -> Vec<Complex64> {
 }
 
 #[test]
-fn grover_matches_dense_oracle() {
+fn grover_matches_dense_oracle() -> TestResult {
     let circuit = grover(6, 45);
     let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-    let dd = sim.run().amplitudes;
+    let dd = sim.try_run()?.amplitudes;
     let dense = dense_simulate(&circuit, 0);
     assert!(normalized_distance(&dd, &dense) < 1e-10);
+    Ok(())
 }
 
 #[test]
-fn bwt_matches_dense_oracle() {
+fn bwt_matches_dense_oracle() -> TestResult {
     let (circuit, tree) = bwt(BwtParams {
         height: 3,
         steps: 15,
         seed: 21,
     });
     let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-    sim.reset_to(tree.coined_start());
-    let dd = sim.run().amplitudes;
+    sim.try_reset_to(tree.coined_start())?;
+    let dd = sim.try_run()?.amplitudes;
     let dense = dense_simulate(&circuit, tree.coined_start());
     assert!(normalized_distance(&dd, &dense) < 1e-10);
+    Ok(())
 }
 
 #[derive(Debug, Clone)]
@@ -155,8 +158,8 @@ proptest! {
     ) {
         let circuit = build(5, &ops);
         let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-        sim.reset_to(start);
-        let dd = sim.run().amplitudes;
+        sim.try_reset_to(start)?;
+        let dd = sim.try_run()?.amplitudes;
         let dense = dense_simulate(&circuit, start);
         for (i, (a, b)) in dd.iter().zip(&dense).enumerate() {
             prop_assert!((*a - *b).abs() < 1e-10, "amplitude {i}: {a:?} vs {b:?}");

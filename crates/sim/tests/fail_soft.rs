@@ -4,7 +4,8 @@
 
 use aq_circuits::{grover, Circuit, Op};
 use aq_dd::{GateMatrix, NumericContext, QomegaContext, RunBudget};
-use aq_sim::{op_operator, SimOptions, Simulator};
+use aq_sim::{try_op_operator, SimOptions, Simulator};
+use aq_testutil::TestResult;
 
 #[test]
 fn try_run_returns_partial_trace_and_statistics() {
@@ -72,7 +73,7 @@ fn try_build_unitary_aborts_with_the_failing_op_index() {
 }
 
 #[test]
-fn matching_and_permutation_ops_are_cached_separately() {
+fn matching_and_permutation_ops_are_cached_separately() -> TestResult {
     // Regression: the operator cache used to key `MatchingEvolution` and
     // `Permutation` by raw Arc address with no variant tag, so the two op
     // kinds could alias. A circuit interleaving *repeated* instances of
@@ -95,14 +96,14 @@ fn matching_and_permutation_ops_are_cached_separately() {
     }
 
     let mut sim = Simulator::new(QomegaContext::new(), &c);
-    let cached = sim.run().amplitudes;
+    let cached = sim.try_run()?.amplitudes;
 
     // reference: apply each op's operator built fresh every time
     let mut m = aq_dd::Manager::new(QomegaContext::new(), n);
-    let mut state = m.basis_state(0);
+    let mut state = m.try_basis_state(0)?;
     for op in c.ops() {
-        let u = op_operator(&mut m, op);
-        state = m.mat_vec(&u, &state);
+        let u = try_op_operator(&mut m, op)?;
+        state = m.try_mat_vec(&u, &state)?;
     }
     let fresh = m.amplitudes(&state);
     assert_eq!(cached.len(), fresh.len());
@@ -110,10 +111,11 @@ fn matching_and_permutation_ops_are_cached_separately() {
         assert_eq!(a.re.to_bits(), b.re.to_bits());
         assert_eq!(a.im.to_bits(), b.im.to_bits());
     }
+    Ok(())
 }
 
 #[test]
-fn compaction_mid_build_unitary_is_bit_identical() {
+fn compaction_mid_build_unitary_is_bit_identical() -> TestResult {
     // Compaction during the matrix-matrix pipeline remaps the partial
     // product (a *matrix* root). The compacted build must reproduce the
     // uncompacted unitary bit for bit.
@@ -128,7 +130,7 @@ fn compaction_mid_build_unitary_is_bit_identical() {
             ..SimOptions::default()
         },
     );
-    let u_tight = tight.build_unitary();
+    let u_tight = tight.try_build_unitary()?;
     assert!(
         tight.statistics().compactions > 0,
         "threshold 64 must force compactions mid-build"
@@ -142,7 +144,7 @@ fn compaction_mid_build_unitary_is_bit_identical() {
             ..SimOptions::default()
         },
     );
-    let u_loose = loose.build_unitary();
+    let u_loose = loose.try_build_unitary()?;
 
     // compare the full matrices entrywise, as bits
     let a = tight.manager_mut().matrix(&u_tight);
@@ -153,4 +155,5 @@ fn compaction_mid_build_unitary_is_bit_identical() {
             assert_eq!(x.im.to_bits(), y.im.to_bits());
         }
     }
+    Ok(())
 }

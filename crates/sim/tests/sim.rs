@@ -5,9 +5,10 @@ use aq_circuits::cliffordt::CliffordTCompiler;
 use aq_circuits::{bwt, grover, gse, BwtParams, GseParams};
 use aq_dd::{GcdContext, NumericContext, QomegaContext};
 use aq_sim::{normalized_distance, PairedRun, SimOptions, Simulator};
+use aq_testutil::TestResult;
 
 #[test]
-fn grover_finds_marked_element_all_contexts() {
+fn grover_finds_marked_element_all_contexts() -> TestResult {
     let n = 6;
     let marked = 0b101101u64;
     let circuit = grover(n, marked);
@@ -23,22 +24,23 @@ fn grover_finds_marked_element_all_contexts() {
     };
 
     let mut s = Simulator::new(QomegaContext::new(), &circuit);
-    check(s.run().probabilities());
+    check(s.try_run()?.probabilities());
     let mut s = Simulator::new(GcdContext::new(), &circuit);
-    check(s.run().probabilities());
+    check(s.try_run()?.probabilities());
     let mut s = Simulator::new(NumericContext::with_eps(1e-12), &circuit);
-    check(s.run().probabilities());
+    check(s.try_run()?.probabilities());
+    Ok(())
 }
 
 #[test]
-fn grover_state_stays_tiny_algebraically() {
+fn grover_state_stays_tiny_algebraically() -> TestResult {
     // The Grover state at iteration boundaries has two distinct
     // amplitudes (n nodes); mid-oracle/diffusion intermediates are
     // slightly richer but still linear in n — the compactness half of
     // the paper's claim. With exact weights nothing ever blows up.
     let circuit = grover(8, 17);
     let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-    let result = sim.run();
+    let result = sim.try_run()?;
     // two distinct amplitudes = a marked-path chain beside the uniform
     // subtree: at most 2n − 1 nodes
     assert!(result.final_nodes <= 15, "final {}", result.final_nodes);
@@ -47,18 +49,19 @@ fn grover_state_stays_tiny_algebraically() {
         "peak {}",
         result.trace.peak_nodes()
     );
+    Ok(())
 }
 
 #[test]
-fn bwt_walk_is_unitary_and_spreads_to_exit_side() {
+fn bwt_walk_is_unitary_and_spreads_to_exit_side() -> TestResult {
     let (circuit, tree) = bwt(BwtParams {
         height: 3,
         steps: 40,
         seed: 11,
     });
     let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-    sim.reset_to(tree.coined_start());
-    let result = sim.run();
+    sim.try_reset_to(tree.coined_start())?;
+    let result = sim.try_run()?;
     let probs = tree.vertex_probabilities(&result.amplitudes);
     let total: f64 = probs.iter().sum();
     assert!(
@@ -74,10 +77,11 @@ fn bwt_walk_is_unitary_and_spreads_to_exit_side() {
     );
     // label 0 is unused and must stay unpopulated
     assert!(probs[0] < 1e-12);
+    Ok(())
 }
 
 #[test]
-fn bwt_trotter_walk_is_unitary() {
+fn bwt_trotter_walk_is_unitary() -> TestResult {
     use aq_circuits::bwt_trotter;
     let (circuit, tree) = bwt_trotter(BwtParams {
         height: 3,
@@ -85,33 +89,35 @@ fn bwt_trotter_walk_is_unitary() {
         seed: 11,
     });
     let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-    sim.reset_to(tree.entrance());
-    let result = sim.run();
+    sim.try_reset_to(tree.entrance())?;
+    let result = sim.try_run()?;
     let total: f64 = result.probabilities().iter().sum();
     assert!(
         (total - 1.0).abs() < 1e-9,
         "walk must stay unitary: {total}"
     );
+    Ok(())
 }
 
 #[test]
-fn bwt_matches_between_numeric_and_algebraic() {
+fn bwt_matches_between_numeric_and_algebraic() -> TestResult {
     let (circuit, tree) = bwt(BwtParams {
         height: 2,
         steps: 12,
         seed: 3,
     });
     let mut alg = Simulator::new(QomegaContext::new(), &circuit);
-    alg.reset_to(tree.coined_start());
+    alg.try_reset_to(tree.coined_start())?;
     let mut num = Simulator::new(NumericContext::with_eps(1e-12), &circuit);
-    num.reset_to(tree.coined_start());
-    let va = alg.run().amplitudes;
-    let vn = num.run().amplitudes;
+    num.try_reset_to(tree.coined_start())?;
+    let va = alg.try_run()?.amplitudes;
+    let vn = num.try_run()?.amplitudes;
     assert!(normalized_distance(&vn, &va) < 1e-9);
+    Ok(())
 }
 
 #[test]
-fn gse_compiled_circuit_runs_in_every_context() {
+fn gse_compiled_circuit_runs_in_every_context() -> TestResult {
     let params = GseParams {
         precision_bits: 2,
         ..GseParams::default()
@@ -125,35 +131,38 @@ fn gse_compiled_circuit_runs_in_every_context() {
     // the same Clifford+T circuit runs numerically and algebraically;
     // both must produce the identical state (it is the same circuit!)
     let mut alg = Simulator::new(QomegaContext::new(), &compiled);
-    let va = alg.run().amplitudes;
+    let va = alg.try_run()?.amplitudes;
     let mut num = Simulator::new(NumericContext::with_eps(1e-12), &compiled);
-    let vn = num.run().amplitudes;
+    let vn = num.try_run()?.amplitudes;
     assert!(normalized_distance(&vn, &va) < 1e-8);
+    Ok(())
 }
 
 #[test]
-fn epsilon_too_large_destroys_the_grover_state() {
+fn epsilon_too_large_destroys_the_grover_state() -> TestResult {
     // Sec. III / Fig. 2 of the paper: a huge tolerance collapses the state
     // (information loss), here measured against the exact reference.
     let circuit = grover(5, 9);
     let pair = PairedRun::new(NumericContext::with_eps(1e-1), &circuit, 5);
-    let (subject, _) = pair.run();
+    let (subject, _) = pair.run()?;
     let err = subject.final_error().expect("sampled");
     assert!(err > 0.5, "expected catastrophic loss, got {err}");
+    Ok(())
 }
 
 #[test]
-fn moderate_epsilon_tracks_exact_result() {
+fn moderate_epsilon_tracks_exact_result() -> TestResult {
     let circuit = grover(5, 9);
     let pair = PairedRun::new(NumericContext::with_eps(1e-10), &circuit, 7);
-    let (subject, reference) = pair.run();
+    let (subject, reference) = pair.run()?;
     let err = subject.final_error().expect("sampled");
     assert!(err < 1e-6, "moderate ε should track: {err}");
     assert!(reference.max_error().is_none());
+    Ok(())
 }
 
 #[test]
-fn compaction_threshold_does_not_change_results() {
+fn compaction_threshold_does_not_change_results() -> TestResult {
     let circuit = grover(5, 21);
     let mut tight = Simulator::with_options(
         QomegaContext::new(),
@@ -165,13 +174,14 @@ fn compaction_threshold_does_not_change_results() {
         },
     );
     let mut loose = Simulator::new(QomegaContext::new(), &circuit);
-    let a = tight.run().amplitudes;
-    let b = loose.run().amplitudes;
+    let a = tight.try_run()?.amplitudes;
+    let b = loose.try_run()?.amplitudes;
     assert!(normalized_distance(&a, &b) < 1e-12);
+    Ok(())
 }
 
 #[test]
-fn tiny_lossy_caches_are_bit_identical_to_default_caches() {
+fn tiny_lossy_caches_are_bit_identical_to_default_caches() -> TestResult {
     // The compute caches are lossy memoisation, not state: shrinking them
     // to a handful of slots (forcing constant evictions) and compacting
     // constantly must reproduce the default run bit for bit.
@@ -187,8 +197,8 @@ fn tiny_lossy_caches_are_bit_identical_to_default_caches() {
         },
     );
     let mut default = Simulator::new(QomegaContext::new(), &circuit);
-    let a = starved.run().amplitudes;
-    let b = default.run().amplitudes;
+    let a = starved.try_run()?.amplitudes;
+    let b = default.try_run()?.amplitudes;
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         // exact algebraic weights: the amplitudes are equal as f64 bits
@@ -203,10 +213,11 @@ fn tiny_lossy_caches_are_bit_identical_to_default_caches() {
         "tiny caches must actually evict to exercise the lossy path"
     );
     assert!(stats.compactions > 0, "threshold 64 must force compactions");
+    Ok(())
 }
 
 #[test]
-fn statistics_counters_are_monotone_and_consistent() {
+fn statistics_counters_are_monotone_and_consistent() -> TestResult {
     let circuit = grover(5, 9);
     let mut sim = Simulator::with_options(
         QomegaContext::new(),
@@ -218,7 +229,7 @@ fn statistics_counters_are_monotone_and_consistent() {
         },
     );
     let mut prev = sim.statistics();
-    while sim.step() {
+    while sim.try_step()? {
         let now = sim.statistics();
         for (p, n) in [
             (prev.add_vec, now.add_vec),
@@ -240,16 +251,18 @@ fn statistics_counters_are_monotone_and_consistent() {
     assert!(prev.mv.lookups > 0);
     assert!(prev.cache_hit_rate() > 0.0);
     assert!(prev.distinct_weights >= 2);
+    Ok(())
 }
 
 #[test]
-fn trace_records_every_gate() {
+fn trace_records_every_gate() -> TestResult {
     let circuit = grover(4, 1);
     let mut sim = Simulator::new(GcdContext::new(), &circuit);
-    let result = sim.run();
+    let result = sim.try_run()?;
     assert_eq!(result.trace.points.len(), circuit.len());
     assert!(result.trace.total_seconds() > 0.0);
     let last = result.trace.points.last().expect("nonempty");
     assert_eq!(last.gates_applied, circuit.len());
     assert_eq!(last.nodes, result.final_nodes);
+    Ok(())
 }

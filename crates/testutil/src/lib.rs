@@ -18,3 +18,6 @@ pub mod proptest;
 pub mod rng;
 
 pub use rng::Rng;
+
+/// Return type of tests that propagate library errors with `?`.
+pub type TestResult = Result<(), Box<dyn std::error::Error>>;

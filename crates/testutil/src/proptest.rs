@@ -56,9 +56,22 @@ impl Default for ProptestConfig {
     }
 }
 
-/// Marker returned (via `Err`) when `prop_assume!` rejects a case.
-#[derive(Debug, Clone, Copy)]
-pub struct Rejected;
+/// Why a property case did not pass (the `proptest` crate's type of the
+/// same name): `prop_assume!` rejected it, or the body propagated an error
+/// with `?`.
+#[derive(Debug, Clone)]
+pub enum TestCaseError {
+    /// Rejected by `prop_assume!`; retried with fresh values.
+    Reject,
+    /// Failed with the displayed error; fails the test.
+    Fail(String),
+}
+
+impl<E: std::error::Error> From<E> for TestCaseError {
+    fn from(e: E) -> Self {
+        TestCaseError::Fail(e.to_string())
+    }
+}
 
 /// A generator of random values, the object the combinators compose.
 pub trait Strategy {
@@ -285,11 +298,12 @@ fn seed_from_name(name: &str) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics (failing the test) if rejection exhausts the retry budget;
-/// assertion failures inside `case` propagate as normal panics.
+/// Panics (failing the test) if a case fails with an error or rejection
+/// exhausts the retry budget; assertion failures inside `case` propagate
+/// as normal panics.
 pub fn run_cases<F>(config: ProptestConfig, name: &str, mut case: F)
 where
-    F: FnMut(&mut Rng) -> Result<(), Rejected>,
+    F: FnMut(&mut Rng) -> Result<(), TestCaseError>,
 {
     let mut rng = Rng::from_seed(seed_from_name(name));
     let mut accepted = 0u32;
@@ -298,7 +312,8 @@ where
     while accepted < config.cases {
         match case(&mut rng) {
             Ok(()) => accepted += 1,
-            Err(Rejected) => {
+            Err(TestCaseError::Fail(e)) => panic!("property `{name}` failed: {e}"),
+            Err(TestCaseError::Reject) => {
                 rejected += 1;
                 assert!(
                     rejected < budget,
@@ -347,7 +362,7 @@ macro_rules! __proptest_body {
                 $crate::proptest::run_cases($cfg, stringify!($name), |rng| {
                     $(let $arg = $crate::proptest::Strategy::sample(&($strat), rng);)+
                     #[allow(clippy::redundant_closure_call)]
-                    (|| -> ::std::result::Result<(), $crate::proptest::Rejected> {
+                    (|| -> ::std::result::Result<(), $crate::proptest::TestCaseError> {
                         $body
                         ::std::result::Result::Ok(())
                     })()
@@ -363,7 +378,7 @@ macro_rules! __proptest_body {
 macro_rules! prop_assume {
     ($cond:expr) => {
         if !($cond) {
-            return ::std::result::Result::Err($crate::proptest::Rejected);
+            return ::std::result::Result::Err($crate::proptest::TestCaseError::Reject);
         }
     };
 }
@@ -428,6 +443,15 @@ mod tests {
         fn collection_vec(xs in prop::collection::vec(any::<u8>(), 0..8)) {
             prop_assert!(xs.len() < 8);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "property `errs` failed: invalid digit")]
+    fn an_error_propagated_with_question_mark_fails_the_property() {
+        super::run_cases(ProptestConfig::with_cases(4), "errs", |_| {
+            "x".parse::<u32>()?;
+            Ok(())
+        });
     }
 
     #[test]

@@ -11,7 +11,7 @@ use aqudd::circuits::{bwt, BwtParams};
 use aqudd::dd::QomegaContext;
 use aqudd::sim::Simulator;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
     let height: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
     let steps: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(40);
@@ -34,8 +34,8 @@ fn main() {
     );
 
     let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-    sim.reset_to(tree.coined_start());
-    let result = sim.run();
+    sim.try_reset_to(tree.coined_start())?;
+    let result = sim.try_run()?;
 
     let probs = tree.vertex_probabilities(&result.amplitudes);
     let off = (1usize << (height + 1)) as u64;
@@ -74,4 +74,5 @@ fn main() {
         (1usize << circuit.n_qubits()) - 1,
         probs.iter().sum::<f64>()
     );
+    Ok(())
 }

@@ -11,7 +11,7 @@ use aqudd::dd::{NormScheme, NumericContext, QomegaContext};
 use aqudd::sim::{normalized_distance, Simulator};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: u32 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -26,7 +26,7 @@ fn main() {
     // Exact algebraic reference (and its own cost).
     let t0 = Instant::now();
     let mut reference = Simulator::new(QomegaContext::new(), &circuit);
-    let ref_result = reference.run();
+    let ref_result = reference.try_run()?;
     let ref_secs = t0.elapsed().as_secs_f64();
 
     println!(
@@ -46,7 +46,7 @@ fn main() {
         let ctx = NumericContext::with_eps_and_scheme(eps, NormScheme::MaxMagnitude);
         let t0 = Instant::now();
         let mut sim = Simulator::new(ctx, &circuit);
-        let result = sim.run();
+        let result = sim.try_run()?;
         let secs = t0.elapsed().as_secs_f64();
         let err = normalized_distance(&result.amplitudes, &ref_result.amplitudes);
         println!(
@@ -64,4 +64,5 @@ fn main() {
          results (down to the zero vector). The algebraic representation\n\
          gets compactness AND exactness — with no parameter to tune."
     );
+    Ok(())
 }

@@ -10,8 +10,11 @@
 use aqudd::circuits::{Circuit, Op};
 use aqudd::dd::{Edge, GateMatrix, Manager, MatId, QomegaContext};
 
-fn build_unitary(m: &mut Manager<QomegaContext>, c: &Circuit) -> Edge<MatId> {
-    let mut u = m.identity();
+fn build_unitary(
+    m: &mut Manager<QomegaContext>,
+    c: &Circuit,
+) -> Result<Edge<MatId>, Box<dyn std::error::Error>> {
+    let mut u = m.try_identity()?;
     for op in c.iter() {
         let Op::Gate {
             matrix,
@@ -21,25 +24,26 @@ fn build_unitary(m: &mut Manager<QomegaContext>, c: &Circuit) -> Edge<MatId> {
         else {
             unreachable!("gate circuits only");
         };
-        let g = m.gate(matrix, *target, controls);
-        u = m.mat_mul(&g, &u);
+        let g = m.try_gate(matrix, *target, controls)?;
+        u = m.try_mat_mul(&g, &u)?;
     }
-    u
+    Ok(u)
 }
 
-fn check(name: &str, a: &Circuit, b: &Circuit) {
+fn check(name: &str, a: &Circuit, b: &Circuit) -> Result<(), Box<dyn std::error::Error>> {
     let mut m = Manager::new(QomegaContext::new(), a.n_qubits());
-    let ua = build_unitary(&mut m, a);
-    let ub = build_unitary(&mut m, b);
+    let ua = build_unitary(&mut m, a)?;
+    let ub = build_unitary(&mut m, b)?;
     println!(
         "{name}: {}  (root edges {:?} vs {:?})",
         if ua == ub { "EQUIVALENT" } else { "different" },
         ua,
         ub
     );
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A SWAP from three CNOTs vs the qubit-relabelled identity test:
     //    swap · swap = identity.
     let mut swap_twice = Circuit::new(2);
@@ -48,7 +52,7 @@ fn main() {
         swap_twice.push_gate(GateMatrix::x(), 0, &[(1, true)]);
         swap_twice.push_gate(GateMatrix::x(), 1, &[(0, true)]);
     }
-    check("swap² = identity", &swap_twice, &Circuit::new(2));
+    check("swap² = identity", &swap_twice, &Circuit::new(2))?;
 
     // 2. The classic HXH = Z identity.
     let mut hxh = Circuit::new(1);
@@ -57,7 +61,7 @@ fn main() {
     hxh.push_gate(GateMatrix::h(), 0, &[]);
     let mut z = Circuit::new(1);
     z.push_gate(GateMatrix::z(), 0, &[]);
-    check("HXH = Z", &hxh, &z);
+    check("HXH = Z", &hxh, &z)?;
 
     // 3. T⁷ vs T†: equal.
     let mut t7 = Circuit::new(1);
@@ -66,12 +70,13 @@ fn main() {
     }
     let mut tdg = Circuit::new(1);
     tdg.push_gate(GateMatrix::tdg(), 0, &[]);
-    check("T⁷ = T†", &t7, &tdg);
+    check("T⁷ = T†", &t7, &tdg)?;
 
     // 4. And a near-miss that floating point with a loose tolerance would
     //    wave through: T vs the identity differ by a π/4 phase on one
     //    amplitude — structurally distinct, caught exactly.
     let mut t = Circuit::new(1);
     t.push_gate(GateMatrix::t(), 0, &[]);
-    check("T = identity?", &t, &Circuit::new(1));
+    check("T = identity?", &t, &Circuit::new(1))?;
+    Ok(())
 }

@@ -9,7 +9,7 @@ use aqudd::circuits::{grover, grover_iterations};
 use aqudd::dd::QomegaContext;
 use aqudd::sim::Simulator;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
     let n: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
     let marked: u64 = args
@@ -24,7 +24,7 @@ fn main() {
     );
     let circuit = grover(n, marked);
     let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-    let result = sim.run();
+    let result = sim.try_run()?;
 
     let probs = result.probabilities();
     let (best, p) = probs
@@ -43,4 +43,5 @@ fn main() {
         result.trace.peak_nodes()
     );
     assert_eq!(best as u64, marked, "Grover must find the marked element");
+    Ok(())
 }

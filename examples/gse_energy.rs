@@ -24,7 +24,7 @@ fn peak_phase(probs: &[f64], p: u32, sys_dim: usize) -> (usize, f64) {
         .expect("nonempty")
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let p: u32 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -46,7 +46,7 @@ fn main() {
         raw.len()
     );
     let mut sim = Simulator::new(NumericContext::with_eps(1e-12), &raw);
-    let result = sim.run();
+    let result = sim.try_run()?;
     let (m, prob) = peak_phase(&result.probabilities(), p, 4);
     let phase = m as f64 / (1u64 << p) as f64;
     println!(
@@ -64,7 +64,7 @@ fn main() {
         compiled.len()
     );
     let mut sim = Simulator::new(QomegaContext::new(), &compiled);
-    let result = sim.run();
+    let result = sim.try_run()?;
     let (m, prob) = peak_phase(&result.probabilities(), p, 4);
     let phase = m as f64 / (1u64 << p) as f64;
     println!(
@@ -78,6 +78,7 @@ fn main() {
         result.final_nodes,
         result.trace.peak_weight_bits()
     );
+    Ok(())
 }
 
 fn phase_to_energy(phase: f64, t: f64) -> f64 {

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-    let result = sim.run();
+    let result = sim.try_run()?;
     println!("\noutcome probabilities (non-zero):");
     for (i, p) in result.probabilities().iter().enumerate() {
         if *p > 1e-12 {

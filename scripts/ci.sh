@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Offline CI: formatting, lints, the tier-1 build+test command, and the
-# engine throughput benchmark. No network access required — the workspace
-# has no external dependencies.
+# Offline CI: formatting, lints, the tier-1 build+test command, the
+# benchmark package's build and unit tests, and the engine throughput
+# benchmark. No network access required — the workspace has no external
+# dependencies.
 #
 # Usage: scripts/ci.sh [--no-bench]
 
@@ -14,7 +15,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== aq-lint: workspace lint gate (R1-R10 + A0, semantic passes on) =="
+echo "== aq-lint: workspace lint gate (R1, R3-R10 + A0, semantic passes on) =="
 cargo run -q --offline -p aq-analyze --bin aq-lint -- --deny --baseline=lint-baseline.toml \
     --stats --lock-dot=target/lock-order.dot
 # the committed lock-order graph must match what the analyzer derives
@@ -29,6 +30,12 @@ cargo build --release --offline --workspace
 
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline --workspace
+
+echo "== benchmark package: builds and passes its unit tests against this API =="
+# perfbench is its own workspace with path deps on the runtime crates; an
+# API change it cannot compile against must fail here, not in a bench run
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "== fail-soft: budget-abort suites =="
 cargo test -q --offline -p aq-dd --test budget

@@ -29,7 +29,7 @@
 //! // no tolerance value to tune, no numerical error, maximal compactness.
 //! let circuit = grover(6, 42);
 //! let mut sim = Simulator::new(QomegaContext::new(), &circuit);
-//! let result = sim.run();
+//! let result = sim.try_run()?;
 //! let probs = result.probabilities();
 //! let best = probs
 //!     .iter()
@@ -37,6 +37,7 @@
 //!     .max_by(|a, b| a.1.total_cmp(b.1))
 //!     .map(|(i, _)| i);
 //! assert_eq!(best, Some(42));
+//! # Ok::<(), Box<aqudd::sim::SimAbort>>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests exercising the public facade API the way
 //! a downstream user would.
 
+use aq_testutil::TestResult;
 use aqudd::circuits::cliffordt::CliffordTCompiler;
 use aqudd::circuits::{bwt, grover, gse, qft, BwtParams, Circuit, GseParams, Op};
 use aqudd::dd::{GateMatrix, GcdContext, Manager, NumericContext, QomegaContext};
@@ -8,7 +9,7 @@ use aqudd::rings::{Domega, Qomega};
 use aqudd::sim::{normalized_distance, PairedRun, Simulator};
 
 #[test]
-fn facade_reexports_compose() {
+fn facade_reexports_compose() -> TestResult {
     // a value that flows through all layers: a bigint into a ring element
     // into a DD weight
     let big = aqudd::bigint::IBig::from(3).pow(40);
@@ -20,33 +21,35 @@ fn facade_reexports_compose() {
     );
     let q = Qomega::from(Domega::from(z));
     let mut m = Manager::new(QomegaContext::new(), 1);
-    let id = m.intern(q);
+    let id = m.try_intern(q)?;
     assert!(m.weight(id).coeff_bits() > 60);
+    Ok(())
 }
 
 #[test]
-fn headline_claim_accuracy_and_compactness_together() {
+fn headline_claim_accuracy_and_compactness_together() -> TestResult {
     // The paper's headline: the algebraic QMDD is as compact as the best
     // ε and exactly accurate, simultaneously — no tuning.
     let circuit = grover(10, 777);
 
     // best-tuned numeric run
     let mut tuned = Simulator::new(NumericContext::with_eps(1e-10), &circuit);
-    let tuned_result = tuned.run();
+    let tuned_result = tuned.try_run()?;
 
     // untuned exact run
     let mut exact = Simulator::new(QomegaContext::new(), &circuit);
-    let exact_result = exact.run();
+    let exact_result = exact.try_run()?;
 
     assert!(exact_result.trace.peak_nodes() <= tuned_result.trace.peak_nodes() + 2);
     assert!(normalized_distance(&tuned_result.amplitudes, &exact_result.amplitudes) < 1e-8);
     // and the exact run has literally unit norm
     let norm: f64 = exact_result.probabilities().iter().sum();
     assert!((norm - 1.0).abs() < 1e-12);
+    Ok(())
 }
 
 #[test]
-fn qft_roundtrip_exact_through_the_full_stack() {
+fn qft_roundtrip_exact_through_the_full_stack() -> TestResult {
     // QFT⁻¹·QFT = I on a non-trivial state. The 2-qubit QFT's controlled
     // phase is CP(π/2), whose decomposition uses P(π/4) = T — exactly
     // representable, so the whole round trip runs in Q[ω]. (Wider QFTs
@@ -59,13 +62,13 @@ fn qft_roundtrip_exact_through_the_full_stack() {
     c.extend_from(&qft(n));
     c.extend_from(&aqudd::circuits::inverse_qft(n));
     let mut exact = Simulator::new(QomegaContext::new(), &c);
-    let got = exact.run().amplitudes;
+    let got = exact.try_run()?.amplitudes;
 
     let mut prep = Circuit::new(n);
     prep.push_gate(GateMatrix::x(), 1, &[]);
     prep.push_gate(GateMatrix::h(), 0, &[]);
     let mut ref_sim = Simulator::new(QomegaContext::new(), &prep);
-    let want = ref_sim.run().amplitudes;
+    let want = ref_sim.try_run()?.amplitudes;
     assert!(normalized_distance(&got, &want) < 1e-12);
 
     // a 4-qubit QFT needs compilation; the compiled version still
@@ -78,17 +81,18 @@ fn qft_roundtrip_exact_through_the_full_stack() {
     let (compiled, worst) = CliffordTCompiler::new(8).compile(&c);
     assert!(compiled.is_exact());
     let mut sim = Simulator::new(QomegaContext::new(), &compiled);
-    let got = sim.run().amplitudes;
+    let got = sim.try_run()?.amplitudes;
     // |0010⟩ must remain dominant
     let p = got[0b0010].norm_sqr();
     assert!(
         p > 0.8,
         "round trip lost the state: {p} (worst gate {worst})"
     );
+    Ok(())
 }
 
 #[test]
-fn gse_to_clifford_t_to_all_backends() {
+fn gse_to_clifford_t_to_all_backends() -> TestResult {
     let raw = gse(&GseParams {
         precision_bits: 2,
         ..GseParams::default()
@@ -99,17 +103,18 @@ fn gse_to_clifford_t_to_all_backends() {
 
     let run = |amps: Vec<aqudd::rings::Complex64>| amps;
     let mut q = Simulator::new(QomegaContext::new(), &compiled);
-    let va = run(q.run().amplitudes);
+    let va = run(q.try_run()?.amplitudes);
     let mut g = Simulator::new(GcdContext::new(), &compiled);
-    let vg = run(g.run().amplitudes);
+    let vg = run(g.try_run()?.amplitudes);
     let mut n = Simulator::new(NumericContext::with_eps(1e-13), &compiled);
-    let vn = run(n.run().amplitudes);
+    let vn = run(n.try_run()?.amplitudes);
     assert!(normalized_distance(&vg, &va) < 1e-10, "GCD vs Qω");
     assert!(normalized_distance(&vn, &va) < 1e-8, "numeric vs Qω");
+    Ok(())
 }
 
 #[test]
-fn bwt_walk_ops_round_trip_through_facade() {
+fn bwt_walk_ops_round_trip_through_facade() -> TestResult {
     let (circuit, tree) = bwt(BwtParams {
         height: 2,
         steps: 6,
@@ -119,21 +124,23 @@ fn bwt_walk_ops_round_trip_through_facade() {
         .iter()
         .any(|op| matches!(op, Op::Permutation { .. })));
     let mut sim = Simulator::new(GcdContext::new(), &circuit);
-    sim.reset_to(tree.coined_start());
-    let result = sim.run();
+    sim.try_reset_to(tree.coined_start())?;
+    let result = sim.try_run()?;
     let total: f64 = result.probabilities().iter().sum();
     assert!((total - 1.0).abs() < 1e-10);
+    Ok(())
 }
 
 #[test]
-fn paired_run_reports_the_tradeoff() {
+fn paired_run_reports_the_tradeoff() -> TestResult {
     let circuit = grover(6, 33);
-    let (coarse, _) = PairedRun::new(NumericContext::with_eps(1e-2), &circuit, 10).run();
-    let (fine, _) = PairedRun::new(NumericContext::with_eps(1e-12), &circuit, 10).run();
+    let (coarse, _) = PairedRun::new(NumericContext::with_eps(1e-2), &circuit, 10).run()?;
+    let (fine, _) = PairedRun::new(NumericContext::with_eps(1e-12), &circuit, 10).run()?;
     let coarse_err = coarse.final_error().expect("sampled");
     let fine_err = fine.final_error().expect("sampled");
     assert!(coarse_err > 1e-2, "coarse ε must hurt: {coarse_err}");
     assert!(fine_err < 1e-9, "fine ε must track: {fine_err}");
+    Ok(())
 }
 
 #[test]
@@ -171,14 +178,15 @@ fn gse_algebraic_run_fails_soft_under_a_small_budget() {
 }
 
 #[test]
-fn exact_contexts_never_drift_over_long_runs() {
+fn exact_contexts_never_drift_over_long_runs() -> TestResult {
     // T applied 8k times is the identity — with exact arithmetic the DD
     // returns to the literal starting edge, regardless of run length.
     let mut m = Manager::new(QomegaContext::new(), 1);
-    let t = m.gate(&GateMatrix::t(), 0, &[]);
-    let mut u = m.identity();
+    let t = m.try_gate(&GateMatrix::t(), 0, &[])?;
+    let mut u = m.try_identity()?;
     for _ in 0..8 * 1000 {
-        u = m.mat_mul(&t, &u);
+        u = m.try_mat_mul(&t, &u)?;
     }
-    assert_eq!(u, m.identity());
+    assert_eq!(u, m.try_identity()?);
+    Ok(())
 }
