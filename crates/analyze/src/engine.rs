@@ -2,7 +2,7 @@
 //! passes, baseline application and the structured report.
 //!
 //! Token-local rules (R1–R7, A0) run per file; the semantic passes
-//! (R8–R10) need every file at once — so the runner loads the whole
+//! (R8–R9) need every file at once — so the runner loads the whole
 //! workspace into memory, analyses each file, hands the full slice to
 //! [`crate::semantic::analyze`], then applies the baseline to the merged
 //! finding stream.
@@ -150,7 +150,7 @@ pub fn run_workspace(
     Ok(run_sources(&sources, cfg, baseline))
 }
 
-/// Runs the full lint pass — token-local rules plus the R8–R10 semantic
+/// Runs the full lint pass — token-local rules plus the R8–R9 semantic
 /// passes — over an in-memory workspace. Fixture tests and the serve
 /// lock-diff test use this directly.
 pub fn run_sources(

@@ -18,10 +18,10 @@
 //! v2 adds a semantic layer on top of the token rules: a coarse
 //! recursive-descent [`parser`] produces per-file item trees, [`resolve`]
 //! builds a best-effort workspace symbol index, [`callgraph`] turns the
-//! two into a call graph, and [`semantic`] runs three whole-workspace
-//! passes over it — R8 panic-reachability from serve entry roots, R9
+//! two into a call graph, and [`semantic`] runs two whole-workspace
+//! passes over it — R8 panic-reachability from serve entry roots and R9
 //! static lock-order extraction (with a DOT graph diffable against the
-//! runtime `lockaudit` graph), and R10 wire-schema exhaustiveness.
+//! runtime `lockaudit` graph).
 //!
 //! Run it as:
 //!

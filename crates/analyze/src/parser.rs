@@ -2,10 +2,10 @@
 //! stream.
 //!
 //! This is deliberately *not* a full Rust grammar: the semantic passes
-//! (panic-reachability, static lock order, wire-schema cross-checks) need
-//! item boundaries, function identities and an event stream per body —
-//! calls, method calls, macro invocations, index expressions, block
-//! scoping, `let` bindings and `drop()` calls — and nothing else. The
+//! (panic-reachability, static lock order) need item boundaries,
+//! function identities and an event stream per body — calls, method
+//! calls, macro invocations, index expressions, block scoping, `let`
+//! bindings and `drop()` calls — and nothing else. The
 //! parser therefore recognises items (`fn`, `impl`, `trait`, `mod`,
 //! `struct`, `enum`, `use`, `static`/`const`), attributes it, and scans
 //! each `fn` body into a flat [`Event`] list carrying brace depth and

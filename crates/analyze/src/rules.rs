@@ -11,13 +11,15 @@
 //! | R7   | no unseeded randomness (`thread_rng`/`from_entropy`/`OsRng`/…) in sim/serve code |
 //! | R8   | no panic source reachable from a serve entry root outside `catch_unwind` |
 //! | R9   | static lock acquisition order must form a DAG                    |
-//! | R10  | wire-protocol serialize and parse sides must agree field-by-field |
 //! | A0   | suppression directives must carry a justification                |
 //!
 //! R2 is retired: the engine API is fallible-only, so no infallible twins
-//! are left to keep in sync. Its code stays unused so R3–R10 keep theirs.
+//! are left to keep in sync. R10 is retired: `aq_serve::protocol` is the
+//! one wire codec, its render/parse round trip is a property test, and
+//! request keys are spelled once, so no second side is left to drift.
+//! Retired codes stay unused so the others keep theirs.
 //!
-//! R1, R3–R7 and A0 are token-local; R8–R10 are the whole-workspace
+//! R1, R3–R7 and A0 are token-local; R8–R9 are the whole-workspace
 //! semantic passes (see `semantic.rs`), built on the parser / resolver /
 //! call graph. Every rule lives in [`REGISTRY`] — `--list-rules`, code
 //! parsing, and the fixture suite all derive from that one table.
@@ -51,8 +53,6 @@ pub enum RuleId {
     PanicReach,
     /// The static held→acquired lock graph must stay acyclic.
     StaticLockOrder,
-    /// Every wire field/verb written must be parsed and vice versa.
-    WireSchema,
     /// Malformed suppression directive (missing justification).
     BadSuppression,
 }
@@ -65,7 +65,7 @@ pub enum RuleId {
 pub struct RuleInfo {
     /// The rule.
     pub rule: RuleId,
-    /// Stable short code (`R1`…`R10`, `A0`).
+    /// Stable short code (`R1`…`R9`, `A0`).
     pub code: &'static str,
     /// One-line description.
     pub describe: &'static str,
@@ -120,12 +120,6 @@ pub const REGISTRY: &[RuleInfo] = &[
                    (held-set propagation through the call graph)",
     },
     RuleInfo {
-        rule: RuleId::WireSchema,
-        code: "R10",
-        describe: "wire-protocol serialize and parse sides must agree: every written \
-                   field/verb is parsed somewhere and vice versa",
-    },
-    RuleInfo {
         rule: RuleId::BadSuppression,
         code: "A0",
         describe: "suppression directives must carry a justification",
@@ -133,7 +127,7 @@ pub const REGISTRY: &[RuleInfo] = &[
 ];
 
 impl RuleId {
-    /// Stable short code (`R1`…`R10`, `A0`), from the registry.
+    /// Stable short code (`R1`…`R9`, `A0`), from the registry.
     pub fn code(&self) -> &'static str {
         REGISTRY
             .iter()
@@ -242,11 +236,6 @@ pub struct LintConfig {
     /// themselves: their internal `.lock()`s are the instrumentation,
     /// not acquisition sites).
     pub r9_exempt_files: Vec<String>,
-    /// Files whose non-test string-key writes R10 treats as the wire
-    /// serialize side. Empty disables the pass.
-    pub r10_writer_files: Vec<String>,
-    /// Files whose non-test key reads R10 treats as the wire parse side.
-    pub r10_parser_files: Vec<String>,
 }
 
 impl Default for LintConfig {
@@ -305,12 +294,6 @@ impl LintConfig {
             ],
             r8_index_prefixes: vec!["crates/serve/src/".into()],
             r9_exempt_files: vec!["crates/serve/src/lockaudit.rs".into()],
-            r10_writer_files: vec![
-                "crates/serve/src/protocol.rs".into(),
-                "crates/serve/src/service.rs".into(),
-                "crates/serve/src/bin/aq-cli.rs".into(),
-            ],
-            r10_parser_files: vec!["crates/serve/src/protocol.rs".into()],
         }
     }
 

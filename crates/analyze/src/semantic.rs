@@ -1,8 +1,7 @@
 //! The whole-workspace semantic passes built on the parser, resolver and
-//! call graph: R8 panic-reachability, R9 static lock-order extraction,
-//! R10 wire-schema exhaustiveness.
+//! call graph: R8 panic-reachability and R9 static lock-order extraction.
 //!
-//! All three are *best effort by construction* — resolution refuses
+//! Both are *best effort by construction* — resolution refuses
 //! ambiguous names, so the analyses can miss edges — but every edge they
 //! do report corresponds to a real syntactic site, and the serve test
 //! suite cross-checks R9's static graph against the runtime `lockaudit`
@@ -142,7 +141,7 @@ impl LockGraph {
 /// The outcome of the semantic passes over one workspace.
 #[derive(Debug, Default)]
 pub struct SemanticReport {
-    /// R8/R9/R10 findings (allow directives already applied).
+    /// R8/R9 findings (allow directives already applied).
     pub findings: Vec<Finding>,
     /// Functions parsed across the workspace.
     pub items: usize,
@@ -153,7 +152,7 @@ pub struct SemanticReport {
     pub lock_graph: LockGraph,
 }
 
-/// Runs all three semantic passes. `analyses` must hold one entry per
+/// Runs both semantic passes. `analyses` must hold one entry per
 /// workspace file, in any order.
 pub fn analyze(analyses: &[FileAnalysis<'_>], cfg: &LintConfig) -> SemanticReport {
     let parsed: Vec<ParsedFile> = analyses.iter().map(parse).collect();
@@ -166,7 +165,6 @@ pub fn analyze(analyses: &[FileAnalysis<'_>], cfg: &LintConfig) -> SemanticRepor
     };
     panic_reach(analyses, &ws, &graph, cfg, &mut report.findings);
     report.lock_graph = lock_order(analyses, &ws, &graph, cfg, &mut report.findings);
-    wire_schema(analyses, cfg, &mut report.findings);
     report
 }
 
@@ -634,300 +632,6 @@ fn call_locks(
                     temp: chained || let_ident.is_none(),
                 });
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- R10 --
-
-#[derive(Debug, Default)]
-struct WireSide {
-    /// key → (file, pos) of first occurrence.
-    keys: BTreeMap<String, (String, usize)>,
-}
-
-impl WireSide {
-    fn add(&mut self, key: &str, rel: &str, pos: usize) {
-        let norm = key.replace('-', "_");
-        self.keys
-            .entry(norm)
-            .or_insert_with(|| (rel.to_string(), pos));
-    }
-}
-
-/// Whether a string literal looks like a wire key (`shots`, `top_k`,
-/// `serve.registry`) rather than a message or format string. Filters out
-/// `format!("…: {}", x)`-style first arguments that share the `("…", `
-/// token shape with key/value tuples.
-fn is_wire_key(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'))
-}
-
-/// R10: cross-check the serialize and parse sides of the wire protocol.
-/// Keys written by the configured writer files must be consumed somewhere
-/// in the workspace (tests count — a response field nobody ever reads is
-/// dead weight or a half-wired verb); keys parsed by the protocol parser
-/// must be produced by some writer; verb literals must match the parse
-/// arms both ways.
-fn wire_schema(analyses: &[FileAnalysis<'_>], cfg: &LintConfig, out: &mut Vec<Finding>) {
-    if cfg.r10_writer_files.is_empty() && cfg.r10_parser_files.is_empty() {
-        return;
-    }
-    let is_writer = |rel: &str| cfg.r10_writer_files.iter().any(|f| f == rel);
-    let is_parser = |rel: &str| cfg.r10_parser_files.iter().any(|f| f == rel);
-
-    let mut writes = WireSide::default();
-    let mut verb_writes = WireSide::default();
-    let mut writer_literals: BTreeSet<String> = BTreeSet::new();
-    let mut reads = WireSide::default();
-    let mut parser_reads = WireSide::default();
-    let mut verb_arms = WireSide::default();
-
-    for fa in analyses {
-        let text = |ci: usize| -> &str {
-            fa.code
-                .get(ci)
-                .map(|&i| fa.tokens[i].text(fa.src))
-                .unwrap_or("")
-        };
-        let kind = |ci: usize| fa.code.get(ci).map(|&i| fa.tokens[i].kind);
-        let start = |ci: usize| -> usize {
-            fa.code
-                .get(ci)
-                .map(|&i| fa.tokens[i].start)
-                .unwrap_or(fa.src.len())
-        };
-        let lit = |ci: usize| -> Option<&str> {
-            (kind(ci) == Some(TokKind::Str))
-                .then(|| text(ci).trim_matches('"'))
-                .filter(|s| is_wire_key(s))
-        };
-
-        let writer = is_writer(fa.rel);
-        let parser = is_parser(fa.rel);
-
-        for ci in 0..fa.code.len() {
-            let pos = start(ci);
-            // ---- reads: anywhere, test code included ----
-            if text(ci) == "get"
-                && ci > 0
-                && text(ci - 1) == "."
-                && text(ci + 1) == "("
-                && text(ci + 3) == ")"
-            {
-                if let Some(k) = lit(ci + 2) {
-                    reads.add(k, fa.rel, pos);
-                    if parser && !fa.in_test_code(pos) {
-                        parser_reads.add(k, fa.rel, pos);
-                    }
-                }
-            }
-            if kind(ci) == Some(TokKind::Ident)
-                && (text(ci).starts_with("require_")
-                    || text(ci).starts_with("opt_")
-                    || text(ci).starts_with("checked_"))
-                && text(ci + 1) == "("
-            {
-                // first string literal at argument depth 1 is the key
-                let mut j = ci + 1;
-                let mut depth = 0usize;
-                while j < fa.code.len() {
-                    match text(j) {
-                        "(" => depth += 1,
-                        ")" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {
-                            if depth == 1 {
-                                if let Some(k) = lit(j) {
-                                    reads.add(k, fa.rel, start(j));
-                                    if parser && !fa.in_test_code(start(j)) {
-                                        parser_reads.add(k, fa.rel, start(j));
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-            }
-            if !writer || fa.in_test_code(pos) {
-                continue;
-            }
-            // ---- writes: writer files, non-test code only ----
-            if let Some(k) = lit(ci) {
-                writer_literals.insert(k.to_string());
-            }
-            // A key/value tuple's `(` is never directly preceded by an
-            // identifier or `!` — that shape is a call (or macro) taking
-            // a string first argument (`DebugMutex::new("name", …)`,
-            // `write!(f, …)`), not a wire write.
-            let call_like = ci > 0
-                && (matches!(kind(ci - 1), Some(TokKind::Ident | TokKind::RawIdent))
-                    || text(ci - 1) == "!");
-            if text(ci) == "(" && !call_like {
-                if let Some(k) = lit(ci + 1) {
-                    let tuple_key = text(ci + 2) == ","
-                        || (text(ci + 2) == "."
-                            && kind(ci + 3) == Some(TokKind::Ident)
-                            && text(ci + 4) == "("
-                            && text(ci + 5) == ")"
-                            && text(ci + 6) == ",");
-                    if tuple_key {
-                        writes.add(k, fa.rel, start(ci + 1));
-                        if k == "verb" {
-                            // `("verb", Json::str("x"))` → a written verb
-                            for j in ci + 2..(ci + 10).min(fa.code.len()) {
-                                if text(j) == "str" && text(j + 1) == "(" {
-                                    if let Some(v) = lit(j + 2) {
-                                        verb_writes.add(v, fa.rel, start(j + 2));
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // string arrays (`for key in ["n", "marked", …]`) are writer
-            // key lists in the CLI request builders
-            if text(ci) == "[" && lit(ci + 1).is_some() {
-                let mut j = ci + 1;
-                let mut keys = Vec::new();
-                let mut well_formed = true;
-                while j < fa.code.len() {
-                    match (lit(j), text(j + 1)) {
-                        (Some(k), ",") => {
-                            keys.push((k.to_string(), start(j)));
-                            j += 2;
-                            if text(j) == "]" {
-                                break; // trailing comma
-                            }
-                        }
-                        (Some(k), "]") => {
-                            keys.push((k.to_string(), start(j)));
-                            break;
-                        }
-                        _ => {
-                            well_formed = false;
-                            break;
-                        }
-                    }
-                }
-                if well_formed {
-                    for (k, p) in keys {
-                        writes.add(&k, fa.rel, p);
-                    }
-                }
-            }
-        }
-
-        // ---- verb arms: the `match` following `get("verb")` ----
-        if parser {
-            let mut verb_at = None;
-            for ci in 0..fa.code.len() {
-                if text(ci) == "get" && text(ci + 1) == "(" && lit(ci + 2) == Some("verb") {
-                    verb_at = Some(ci);
-                    break;
-                }
-            }
-            if let Some(at) = verb_at {
-                let mut j = at;
-                while j < fa.code.len() && text(j) != "match" {
-                    j += 1;
-                }
-                while j < fa.code.len() && text(j) != "{" {
-                    j += 1;
-                }
-                let mut depth = 0usize;
-                while j < fa.code.len() {
-                    match text(j) {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {
-                            if depth == 1 && matches!(text(j + 1), "=>" | "|") {
-                                if let Some(v) = lit(j) {
-                                    verb_arms.add(v, fa.rel, start(j));
-                                }
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    for (k, (rel, pos)) in &writes.keys {
-        if !reads.keys.contains_key(k) {
-            push_finding(
-                analyses,
-                rel,
-                RuleId::WireSchema,
-                *pos,
-                None,
-                format!(
-                    "wire field `{k}` is written but never consumed by any parser or reader \
-                     in the workspace — dead field or half-wired verb"
-                ),
-                out,
-            );
-        }
-    }
-    for (k, (rel, pos)) in &parser_reads.keys {
-        if !writes.keys.contains_key(k) {
-            push_finding(
-                analyses,
-                rel,
-                RuleId::WireSchema,
-                *pos,
-                None,
-                format!(
-                    "wire field `{k}` is parsed but never written by any request builder — \
-                     parse-only field (typo, or a writer was never updated)"
-                ),
-                out,
-            );
-        }
-    }
-    for (v, (rel, pos)) in &verb_arms.keys {
-        if !writer_literals.contains(v) {
-            push_finding(
-                analyses,
-                rel,
-                RuleId::WireSchema,
-                *pos,
-                None,
-                format!(
-                    "verb `{v}` has a parse arm but no writer ever emits it — \
-                     half-wired verb"
-                ),
-                out,
-            );
-        }
-    }
-    for (v, (rel, pos)) in &verb_writes.keys {
-        if !verb_arms.keys.is_empty() && !verb_arms.keys.contains_key(v) {
-            push_finding(
-                analyses,
-                rel,
-                RuleId::WireSchema,
-                *pos,
-                None,
-                format!("verb `{v}` is written but has no parse arm — half-wired verb"),
-                out,
-            );
         }
     }
 }

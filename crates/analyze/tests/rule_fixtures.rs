@@ -13,12 +13,10 @@ fn cfg() -> LintConfig {
         r6_scope: vec!["crates/srv/src/".into()],
         r6_exempt_files: vec!["crates/srv/src/backoff.rs".into()],
         r7_scope: vec!["crates/srv/src/".into(), "crates/smp/src/".into()],
-        // the semantic passes (R8–R10) have their own fixture suite
+        // the semantic passes (R8–R9) have their own fixture suite
         r8_roots: Vec::new(),
         r8_index_prefixes: Vec::new(),
         r9_exempt_files: Vec::new(),
-        r10_writer_files: Vec::new(),
-        r10_parser_files: Vec::new(),
     }
 }
 

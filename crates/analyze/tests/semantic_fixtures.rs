@@ -1,10 +1,9 @@
-//! Fixture suite for the whole-workspace semantic passes (R8–R10), run
+//! Fixture suite for the whole-workspace semantic passes (R8–R9), run
 //! through `run_sources` over small in-memory workspaces. Each pass gets
 //! one positive fixture (must fire) and one negative (must stay silent),
-//! including the three contract cases the design calls out: a
-//! `catch_unwind`-guarded panic that must NOT fire R8, a two-function
-//! lock inversion that must fire R9, and a parse arm whose deletion must
-//! fire R10.
+//! including the two contract cases the design calls out: a
+//! `catch_unwind`-guarded panic that must NOT fire R8, and a two-function
+//! lock inversion that must fire R9.
 
 use aq_analyze::{run_sources, Finding, LintConfig, Report, RuleId};
 
@@ -14,7 +13,7 @@ fn cfg() -> LintConfig {
     LintConfig {
         r1_allow_prefixes: vec![(
             "crates/".into(),
-            "semantic fixtures exercise R8-R10 only".into(),
+            "semantic fixtures exercise R8-R9 only".into(),
         )],
         r3_hot_files: Vec::new(),
         r4_wire_files: Vec::new(),
@@ -25,8 +24,6 @@ fn cfg() -> LintConfig {
         r8_roots: Vec::new(),
         r8_index_prefixes: Vec::new(),
         r9_exempt_files: Vec::new(),
-        r10_writer_files: Vec::new(),
-        r10_parser_files: Vec::new(),
     }
 }
 
@@ -254,101 +251,5 @@ fn r9_ignores_locks_defined_in_test_code() {
         report.lock_graph.nodes.is_empty(),
         "fixture locks in test code must not pollute the graph: {:?}",
         report.lock_graph
-    );
-}
-
-// --------------------------------------------------------------- R10 --
-
-/// Writer: renders two fields. Parser: reads them back. The pair is the
-/// smallest complete wire schema.
-const WIRE_WRITER: &str = "pub fn render(n: u64) -> Vec<(&'static str, u64)> {\n    \
-                           vec![(\"alpha\", n), (\"beta\", n + 1)]\n}\n";
-const WIRE_PARSER_FULL: &str = "pub fn parse(j: &Json) -> (u64, u64) {\n    \
-                                (j.get(\"alpha\"), j.get(\"beta\"))\n}\n";
-const WIRE_PARSER_NO_BETA: &str = "pub fn parse(j: &Json) -> u64 {\n    \
-                                   j.get(\"alpha\")\n}\n";
-
-fn wire_cfg() -> LintConfig {
-    let mut c = cfg();
-    c.r10_writer_files = vec!["crates/w/src/wire.rs".into()];
-    c.r10_parser_files = vec!["crates/w/src/parse.rs".into()];
-    c
-}
-
-#[test]
-fn r10_silent_when_both_sides_agree() {
-    let sources = [
-        ("crates/w/src/wire.rs", WIRE_WRITER),
-        ("crates/w/src/parse.rs", WIRE_PARSER_FULL),
-    ];
-    assert!(findings(&sources, &wire_cfg(), RuleId::WireSchema).is_empty());
-}
-
-#[test]
-fn r10_fires_when_a_parse_arm_is_deleted() {
-    // Same writer, the `beta` read deleted: the written field is now
-    // consumed nowhere and R10 must fire — the acceptance contract for
-    // schema drift.
-    let sources = [
-        ("crates/w/src/wire.rs", WIRE_WRITER),
-        ("crates/w/src/parse.rs", WIRE_PARSER_NO_BETA),
-    ];
-    let found = findings(&sources, &wire_cfg(), RuleId::WireSchema);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("`beta`"));
-    assert!(found[0].message.contains("written but never consumed"));
-    assert_eq!(
-        found[0].file, "crates/w/src/wire.rs",
-        "reported at the write site"
-    );
-}
-
-#[test]
-fn r10_flags_a_parse_only_field() {
-    // The parser reads `gamma` but no writer ever produces it: a typo or
-    // a writer nobody updated.
-    let parser = "pub fn parse(j: &Json) -> (u64, u64, u64) {\n    \
-                  (j.get(\"alpha\"), j.get(\"beta\"), j.get(\"gamma\"))\n}\n";
-    let sources = [
-        ("crates/w/src/wire.rs", WIRE_WRITER),
-        ("crates/w/src/parse.rs", parser),
-    ];
-    let found = findings(&sources, &wire_cfg(), RuleId::WireSchema);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("`gamma`"));
-    assert!(found[0].message.contains("parsed but never written"));
-}
-
-#[test]
-fn r10_reads_in_test_code_count_as_consumption() {
-    // A response-schema lockdown test is a legitimate consumer: fields
-    // read only from `#[cfg(test)]` code keep the writer honest.
-    let reader = "#[cfg(test)]\nmod tests {\n    \
-                  #[test]\n    fn schema() {\n        \
-                  let j = wire();\n        \
-                  assert!(j.get(\"alpha\") <= j.get(\"beta\"));\n    }\n}\n";
-    let sources = [
-        ("crates/w/src/wire.rs", WIRE_WRITER),
-        ("crates/w/src/parse.rs", "pub fn parse() {}\n"),
-        ("crates/w/src/schema_test.rs", reader),
-    ];
-    assert!(findings(&sources, &wire_cfg(), RuleId::WireSchema).is_empty());
-}
-
-#[test]
-fn r10_format_strings_and_call_arguments_are_not_wire_keys() {
-    // `("…", x)` shapes that are call arguments or format strings must
-    // not register as written fields.
-    let writer = "pub fn log(n: u64) -> String {\n    \
-                  let m = DebugMutex::new(\"serve.fixture\", n);\n    \
-                  format!(\"rendering: {}\", m.lock())\n}\n\
-                  pub fn render(n: u64) -> Vec<(&'static str, u64)> { vec![(\"alpha\", n)] }\n";
-    let sources = [
-        ("crates/w/src/wire.rs", writer),
-        ("crates/w/src/parse.rs", WIRE_PARSER_NO_BETA),
-    ];
-    assert!(
-        findings(&sources, &wire_cfg(), RuleId::WireSchema).is_empty(),
-        "DebugMutex::new and format! first arguments are not wire writes"
     );
 }

@@ -15,7 +15,7 @@ use crate::fxhash::fx_hash;
 ///
 /// Invariant: `lookups == hits + misses`; `insertions == evictions +
 /// updates + cleared + (currently occupied slots)` — entries dropped by a
-/// wholesale [`clear`](LossyCache::clear) are counted in `cleared`, so
+/// wholesale cache `clear` are counted in `cleared`, so
 /// every insert is accounted for across the cache's lifetime.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {

@@ -175,6 +175,13 @@ pub enum EngineError {
         /// What the snapshot recorded.
         found: String,
     },
+    /// An operation combined a manager and a circuit of different widths.
+    WidthMismatch {
+        /// Qubits of the manager.
+        manager: u32,
+        /// Qubits of the circuit.
+        circuit: u32,
+    },
     /// A structural invariant of the decision diagram does not hold
     /// (reported by [`Manager::validate`](crate::Manager::validate) —
     /// either the snapshot encodes a non-canonical diagram or the engine
@@ -235,6 +242,10 @@ impl fmt::Display for EngineError {
             EngineError::SnapshotMismatch { expected, found } => {
                 write!(f, "snapshot mismatch: expected {expected}, found {found}")
             }
+            EngineError::WidthMismatch { manager, circuit } => write!(
+                f,
+                "width mismatch: the manager has {manager} qubits, the circuit {circuit}"
+            ),
             EngineError::InvariantViolation { detail } => {
                 write!(f, "structural invariant violated: {detail}")
             }

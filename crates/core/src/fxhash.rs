@@ -15,7 +15,8 @@ const SEED: u64 = 0x517c_c1b7_2722_0a95;
 /// Multiplicative word-at-a-time hasher (FxHash).
 ///
 /// Each written word is xor-ed into the state, which is then rotated and
-/// multiplied by [`SEED`]; short integer keys hash in a handful of cycles.
+/// multiplied by a fixed odd seed; short integer keys hash in a handful
+/// of cycles.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,

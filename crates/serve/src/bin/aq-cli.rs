@@ -1,7 +1,7 @@
 //! `aq-cli` — a thin command-line client for `aq-served`.
 //!
 //! ```text
-//! aq-cli --addr=HOST:PORT submit --circuit=grover --n=6 --marked=5
+//! aq-cli --addr=HOST:PORT submit <circuit>
 //!        [--scheme=numeric|qomega|gcd] [--eps=1e-10] [--priority=0..9]
 //!        [--max-nodes=N] [--max-weights=N] [--max-bits=N]
 //!        [--deadline-secs=S] [--resume=PATH] [--top-k=K] [--wait=SECS]
@@ -11,7 +11,18 @@
 //! aq-cli --addr=HOST:PORT status --job=ID
 //! aq-cli --addr=HOST:PORT wait --job=ID [--timeout=SECS]
 //! aq-cli --addr=HOST:PORT metrics | drain | shutdown
+//!
+//! circuit = --circuit=grover --n=N --marked=M
+//!         | --circuit=bwt --height=H --steps=S [--weld-seed=X]
+//!         | --circuit=gse [--precision-bits=B] [--trotter-slices=T]
+//!         | --circuit=qft --n=N
+//!         | --qasm-file=PATH
 //! ```
+//!
+//! Request flags are named after the wire keys of `aq_serve::protocol`
+//! (`top_k` is `--top-k`); the client builds a typed `Request` from them
+//! and sends its `Request::render` line, so absent fields take the same
+//! defaults the server would apply.
 //!
 //! `sample` submits a seeded shot-sampling job: the response's terminal
 //! status carries a `"sample"` object with the bitstring histogram
@@ -31,9 +42,16 @@
 //! final attempt.
 
 use std::collections::HashMap;
+use std::str::FromStr;
 use std::time::Duration;
 
-use aq_serve::{Backoff, Json, TcpClient};
+use aq_dd::RunBudget;
+use aq_serve::protocol::{
+    key, scheme_named, DEFAULT_SAMPLE_SEED, DEFAULT_SHOTS, DEFAULT_TOP_K, DEFAULT_WAIT_TIMEOUT,
+    TRANSIENT_PREFIX,
+};
+use aq_serve::{Backoff, CircuitSpec, Json, Request, SubmitRequest, TcpClient};
+use aq_sim::SampleParams;
 
 fn usage() -> ! {
     eprintln!(
@@ -57,130 +75,117 @@ fn flag_map(args: &[String]) -> HashMap<String, String> {
     map
 }
 
-fn num_field(map: &HashMap<String, String>, key: &str) -> Option<(String, Json)> {
-    map.get(key).map(|v| {
-        let n: f64 = v.parse().unwrap_or_else(|_| {
-            eprintln!("aq-cli: --{key} expects a number, got {v:?}");
-            std::process::exit(2);
-        });
-        (key.replace('-', "_"), Json::Num(n))
+/// The value of the flag named after wire key `key` (`top_k` is
+/// `--top-k`), parsed; exits 2 when it does not parse.
+fn flag<T: FromStr>(map: &HashMap<String, String>, key: &str) -> Option<T> {
+    let name = key.replace('_', "-");
+    map.get(&name).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| fail(&format!("cannot parse --{name}={v}")))
     })
 }
 
-fn build_submit(map: &HashMap<String, String>, verb: &str) -> String {
-    let mut pairs: Vec<(String, Json)> = vec![("verb".into(), Json::str(verb))];
-    match map.get("qasm-file") {
-        Some(path) => {
-            let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("aq-cli: cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            pairs.push(("qasm".into(), Json::str(src)));
-        }
+/// A flag holding seconds, as a duration; exits 2 unless it is a finite
+/// non-negative number.
+fn secs_flag(map: &HashMap<String, String>, key: &str) -> Option<Duration> {
+    flag(map, key).map(|s: f64| {
+        Duration::try_from_secs_f64(s)
+            .unwrap_or_else(|e| fail(&format!("--{}={s}: {e}", key.replace('_', "-"))))
+    })
+}
+
+fn fail(message: &str) -> ! {
+    eprintln!("aq-cli: {message}");
+    std::process::exit(2);
+}
+
+/// The `submit` (or, with `sample` set, `sample`) request the flags
+/// describe; absent fields take the wire defaults.
+fn submit_request(map: &HashMap<String, String>, sample: bool) -> SubmitRequest {
+    let circuit = match map.get("qasm-file") {
+        Some(path) => CircuitSpec::Qasm(
+            std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}"))),
+        ),
         None => {
-            let circuit = map.get("circuit").unwrap_or_else(|| usage());
-            pairs.push(("circuit".into(), Json::str(circuit.as_str())));
-            for key in [
-                "n",
-                "marked",
-                "height",
-                "steps",
-                "seed",
-                "precision-bits",
-                "trotter-slices",
-            ] {
-                if let Some(p) = num_field(map, key) {
-                    pairs.push(p);
-                }
-            }
+            let kind: String = flag(map, key::CIRCUIT).unwrap_or_else(|| usage());
+            CircuitSpec::named(&kind, |k| Ok(flag(map, k))).unwrap_or_else(|e| fail(&e))
         }
+    };
+    let scheme = flag::<String>(map, key::SCHEME);
+    SubmitRequest {
+        circuit,
+        scheme: scheme_named(scheme.as_deref(), || Ok(flag(map, key::EPS)))
+            .unwrap_or_else(|e| fail(&e)),
+        priority: flag(map, key::PRIORITY).unwrap_or(0),
+        budget: RunBudget {
+            max_nodes: flag(map, key::MAX_NODES),
+            max_distinct_weights: flag(map, key::MAX_WEIGHTS),
+            max_weight_bits: flag(map, key::MAX_BITS),
+            deadline: secs_flag(map, key::DEADLINE_SECS),
+        },
+        resume: flag(map, key::RESUME),
+        top_k: flag(map, key::TOP_K).unwrap_or(DEFAULT_TOP_K),
+        sample: sample.then(|| SampleParams {
+            shots: flag(map, key::SHOTS).unwrap_or(DEFAULT_SHOTS),
+            seed: flag(map, key::SEED).unwrap_or(DEFAULT_SAMPLE_SEED),
+        }),
     }
-    if let Some(s) = map.get("scheme") {
-        pairs.push(("scheme".into(), Json::str(s.as_str())));
-    }
-    for key in ["eps", "priority", "top-k"] {
-        if let Some((k, v)) = num_field(map, key) {
-            pairs.push((if k == "top_k" { "top_k".into() } else { k }, v));
-        }
-    }
-    if let Some(r) = map.get("resume") {
-        pairs.push(("resume".into(), Json::str(r.as_str())));
-    }
-    if verb == "sample" {
-        for key in ["shots", "seed"] {
-            if !pairs.iter().any(|(k, _)| k == key) {
-                if let Some(p) = num_field(map, key) {
-                    pairs.push(p);
-                }
-            }
-        }
-    }
-    let budget: Vec<(String, Json)> = ["max-nodes", "max-weights", "max-bits", "deadline-secs"]
-        .iter()
-        .filter_map(|k| num_field(map, k))
-        .collect();
-    pairs.push(("budget".into(), Json::Obj(budget)));
-    Json::Obj(pairs).render()
 }
 
 /// One submit+wait exchange on a fresh connection. Returns the wait
 /// response (or the submit response when there was no job to wait on),
 /// printing every line as it arrives.
-fn submit_once(addr: &str, line: &str, wait_secs: f64) -> std::io::Result<Json> {
+fn submit_once(addr: &str, line: &str, timeout: Duration) -> std::io::Result<Json> {
     let mut client = TcpClient::connect(addr)?;
-    let response = client.roundtrip(line)?;
-    println!("{response}");
-    let parsed = Json::parse(&response)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let Some(job) = parsed.get("job").and_then(Json::as_u64) else {
-        return Ok(parsed); // rejected: no job to wait on
+    let mut send = |line: &str| {
+        let response = client.roundtrip(line)?;
+        println!("{response}");
+        Json::parse(&response)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     };
-    let wait = Json::obj(vec![
-        ("verb", Json::str("wait")),
-        ("job", Json::Num(job as f64)),
-        ("timeout_secs", Json::Num(wait_secs)),
-    ])
-    .render();
-    let response = client.roundtrip(&wait)?;
-    println!("{response}");
-    Json::parse(&response)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    let reply = send(line)?;
+    match job_of(&reply) {
+        Some(job) => send(&Request::Wait { job, timeout }.render()),
+        None => Ok(reply), // rejected: no job to wait on
+    }
+}
+
+/// The job id a `submit` reply assigns (the reply names it under the
+/// request's own `job` key).
+fn job_of(reply: &Json) -> Option<u64> {
+    reply.get(key::JOB).and_then(Json::as_u64)
+}
+
+fn is_ok(reply: &Json) -> bool {
+    reply.get("ok").and_then(Json::as_bool).unwrap_or(false)
 }
 
 /// `Some(server_hint_ms)` when the exchange is worth retrying: a
 /// rejection with a `retry_after_ms` hint or a `transient:` abort.
 fn retry_hint_ms(response: &Json) -> Option<u64> {
-    if response.get("state").and_then(Json::as_str) == Some("rejected") {
-        return response.get("retry_after_ms").and_then(Json::as_u64);
+    let text = |k| response.get(k).and_then(Json::as_str);
+    match text("state")? {
+        "rejected" => response.get("retry_after_ms").and_then(Json::as_u64),
+        "aborted" if text("reason")?.starts_with(TRANSIENT_PREFIX) => Some(0),
+        _ => None,
     }
-    if response.get("state").and_then(Json::as_str) == Some("aborted")
-        && response
-            .get("reason")
-            .and_then(Json::as_str)
-            .is_some_and(|r| r.starts_with("transient:"))
-    {
-        return Some(0);
-    }
-    None
 }
 
 /// The `--retries=N` loop: submit+wait on a fresh connection per
 /// attempt, backing off (and honouring the server's hint) between
 /// retryable failures. Exits the process with the final attempt's
 /// status.
-fn submit_with_retries(addr: &str, line: &str, wait_secs: f64, retries: u32) -> ! {
+fn submit_with_retries(addr: &str, line: &str, timeout: Duration, retries: u32) -> ! {
     let mut delays = Backoff::new(Duration::from_millis(50), Duration::from_secs(2), 0xC11);
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let hint = match submit_once(addr, line, wait_secs) {
-            Ok(response) => {
-                if retry_hint_ms(&response).is_none() {
-                    let ok = response.get("ok").and_then(Json::as_bool).unwrap_or(false);
-                    std::process::exit(if ok { 0 } else { 1 });
-                }
-                retry_hint_ms(&response).unwrap_or(0)
-            }
+        let hint = match submit_once(addr, line, timeout) {
+            Ok(response) => match retry_hint_ms(&response) {
+                Some(ms) => ms,
+                None => std::process::exit(if is_ok(&response) { 0 } else { 1 }),
+            },
             // A dropped connection (the server was mid-restart, or our
             // worker died while we waited) is itself transient.
             Err(e) => {
@@ -217,43 +222,27 @@ fn main() {
     };
     let map = flag_map(&rest);
 
-    let job_line = |map: &HashMap<String, String>, verb: &str, timeout_key: Option<&str>| {
-        let job: u64 = map
-            .get("job")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| usage());
-        let mut pairs = vec![
-            ("verb".into(), Json::str(verb)),
-            ("job".into(), Json::Num(job as f64)),
-        ];
-        if let Some(key) = timeout_key {
-            if let Some(t) = map.get(key).and_then(|v| v.parse::<f64>().ok()) {
-                pairs.push(("timeout_secs".into(), Json::Num(t)));
-            }
-        }
-        Json::Obj(pairs).render()
-    };
-
+    let job = || flag(&map, key::JOB).unwrap_or_else(|| usage());
     let line = match verb.as_str() {
-        "submit" | "sample" => build_submit(&map, &verb),
-        "status" => job_line(&map, "status", None),
-        "wait" => job_line(&map, "wait", Some("timeout")),
-        "metrics" => Json::obj(vec![("verb", Json::str("metrics"))]).render(),
-        "drain" => Json::obj(vec![("verb", Json::str("drain"))]).render(),
-        "shutdown" => Json::obj(vec![("verb", Json::str("shutdown"))]).render(),
+        "submit" | "sample" => Request::Submit(Box::new(submit_request(&map, verb == "sample"))),
+        "status" => Request::Status { job: job() },
+        "wait" => Request::Wait {
+            job: job(),
+            timeout: secs_flag(&map, "timeout").unwrap_or(DEFAULT_WAIT_TIMEOUT),
+        },
+        "metrics" => Request::Metrics,
+        "drain" => Request::Drain,
+        "shutdown" => Request::Shutdown,
         _ => usage(),
-    };
+    }
+    .render();
+    let submits = verb == "submit" || verb == "sample";
+    let wait = secs_flag(&map, "wait").filter(|_| submits);
 
     // `--retries=N` takes the resilient path: submit+wait per attempt on
     // a fresh connection, resubmitting on retryable failures.
-    if verb == "submit" || verb == "sample" {
-        if let Some(retries) = map.get("retries").and_then(|v| v.parse::<u32>().ok()) {
-            let wait_secs = map
-                .get("wait")
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(60.0);
-            submit_with_retries(&addr, &line, wait_secs, retries);
-        }
+    if let Some(retries) = flag(&map, "retries").filter(|_| submits) {
+        submit_with_retries(&addr, &line, wait.unwrap_or(DEFAULT_WAIT_TIMEOUT), retries);
     }
 
     let mut client = TcpClient::connect(&addr).unwrap_or_else(|e| {
@@ -261,52 +250,21 @@ fn main() {
         std::process::exit(1);
     });
     let mut all_ok = true;
-    let mut check_and_print = |response: String| {
-        let ok = Json::parse(&response)
-            .ok()
-            .and_then(|j| j.get("ok").and_then(Json::as_bool))
-            .unwrap_or(false);
-        all_ok &= ok;
+    let mut send = |line: &str| {
+        let response = client.roundtrip(line).unwrap_or_else(|e| {
+            eprintln!("aq-cli: request failed: {e}");
+            std::process::exit(1);
+        });
         println!("{response}");
-        Json::parse(&response).ok()
+        let reply = Json::parse(&response).ok();
+        all_ok &= reply.as_ref().is_some_and(is_ok);
+        reply
     };
-
-    let response = client.roundtrip(&line).unwrap_or_else(|e| {
-        eprintln!("aq-cli: request failed: {e}");
-        std::process::exit(1);
-    });
-    let parsed = check_and_print(response);
-
-    // `submit --wait=SECS` chains a wait on the job id just returned.
-    if verb == "submit" || verb == "sample" {
-        if let Some(secs) = map.get("wait").and_then(|v| v.parse::<f64>().ok()) {
-            let job = parsed
-                .as_ref()
-                .and_then(|j| j.get("job"))
-                .and_then(Json::as_u64);
-            match job {
-                Some(job) => {
-                    let wait = Json::obj(vec![
-                        ("verb", Json::str("wait")),
-                        ("job", Json::Num(job as f64)),
-                        ("timeout_secs", Json::Num(secs)),
-                    ])
-                    .render();
-                    match client.roundtrip(&wait) {
-                        Ok(r) => {
-                            check_and_print(r);
-                        }
-                        Err(e) => {
-                            eprintln!("aq-cli: wait failed: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                None => {
-                    // Rejected submissions have no job id; nothing to wait on.
-                }
-            }
-        }
+    let reply = send(&line);
+    // `submit --wait=SECS` chains a wait on the job id just returned;
+    // rejected submissions have no job id and nothing to wait on.
+    if let (Some(timeout), Some(job)) = (wait, reply.as_ref().and_then(job_of)) {
+        send(&Request::Wait { job, timeout }.render());
     }
     std::process::exit(if all_ok { 0 } else { 1 });
 }

@@ -7,7 +7,7 @@
 //! cache key therefore addresses *content*: the canonical circuit
 //! fingerprint plus every request parameter that can alter the reply a
 //! client sees — including the job kind: a seeded sampling job and a
-//! plain run over the same circuit carry a [`JobKind`] discriminant (with
+//! plain run over the same circuit carry a `JobKind` discriminant (with
 //! the sampler's `shots` and `seed`) so they can never answer for each
 //! other. Two budgets that differ only within the same
 //! power-of-two **budget class** are considered equivalent: a completed

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::backoff::{self, Backoff};
-use crate::protocol::{Request, SubmitRequest, MAX_FRAME_BYTES};
+use crate::protocol::{Request, SubmitRequest, MAX_FRAME_BYTES, TRANSIENT_PREFIX};
 use crate::service::{MetricsReport, Response, ServeCore};
 
 /// How a client resubmits after transient failures: capped jittered
@@ -56,7 +56,7 @@ fn retry_hint_ms(response: &Response) -> Option<u64> {
             .outcome
             .as_ref()
             .and_then(|o| o.aborted.as_ref())
-            .filter(|a| a.reason.starts_with("transient:"))
+            .filter(|a| a.reason.starts_with(TRANSIENT_PREFIX))
             .map(|_| 0),
         _ => None,
     }

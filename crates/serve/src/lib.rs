@@ -14,8 +14,9 @@
 //! - [`Server`] — line-delimited JSON over TCP localhost (the
 //!   `aq-served` binary); [`TcpClient`] / the `aq-cli` binary talk to
 //!   it.
-//! - [`protocol`] — the wire grammar, circuit specs and request parsing,
-//!   reusable without a socket.
+//! - [`protocol`] — the one wire codec: the grammar, circuit specs,
+//!   request parse/render and response render, reusable without a
+//!   socket.
 //!
 //! Design notes live in the workspace `DESIGN.md` ("Service layer").
 

@@ -11,14 +11,13 @@
 //! closed.
 //!
 //! The framing layer stays deliberately paranoid — a frame longer than
-//! [`MAX_FRAME_BYTES`](crate::protocol::MAX_FRAME_BYTES) gets a
-//! structured error and the connection is closed (there is no way to
-//! resynchronise mid-frame); malformed JSON or unknown verbs get a
-//! structured error and the connection *stays open*; a truncated final
-//! line before EOF is answered as a (garbage) frame. Nothing a client
-//! sends can panic or stall the server: requests are handled with the
-//! core's non-blocking verb surface, so a slow `wait` on one connection
-//! never delays another.
+//! [`MAX_FRAME_BYTES`] gets a structured error and the connection is
+//! closed (there is no way to resynchronise mid-frame); malformed JSON or
+//! unknown verbs get a structured error and the connection *stays open*;
+//! a truncated final line before EOF is answered as a (garbage) frame.
+//! Nothing a client sends can panic or stall the server: requests are
+//! handled with the core's non-blocking verb surface, so a slow `wait` on
+//! one connection never delays another.
 //!
 //! [`ServeConfig::max_connections`]: crate::service::ServeConfig::max_connections
 
@@ -28,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::faults::StallPhase;
-use crate::protocol::{error_response, Request, MAX_FRAME_BYTES};
+use crate::protocol::{Request, MAX_FRAME_BYTES};
 use crate::service::{Response, ServeCore};
 
 /// How long the loop sleeps when a full pass made no progress.
@@ -168,9 +167,9 @@ impl Conn {
                 }
                 // No newline within the frame bound: unrecoverable.
                 None if self.read_buf.len() > MAX_FRAME_BYTES => {
-                    self.push_line(&error_response(&format!(
-                        "frame exceeds {MAX_FRAME_BYTES} bytes; closing connection"
-                    )));
+                    let message =
+                        format!("frame exceeds {MAX_FRAME_BYTES} bytes; closing connection");
+                    self.push_line(&Response::Error { message }.render());
                     self.close_after_flush = true;
                     progress = true;
                     break;
@@ -188,9 +187,8 @@ impl Conn {
             };
             progress = true;
             if line.len() > MAX_FRAME_BYTES {
-                self.push_line(&error_response(&format!(
-                    "frame exceeds {MAX_FRAME_BYTES} bytes; closing connection"
-                )));
+                let message = format!("frame exceeds {MAX_FRAME_BYTES} bytes; closing connection");
+                self.push_line(&Response::Error { message }.render());
                 self.close_after_flush = true;
                 break;
             }
@@ -200,12 +198,13 @@ impl Conn {
             let text = match std::str::from_utf8(&line) {
                 Ok(t) => t,
                 Err(_) => {
-                    self.push_line(&error_response("frame is not valid UTF-8"));
+                    let message = "frame is not valid UTF-8".into();
+                    self.push_line(&Response::Error { message }.render());
                     continue;
                 }
             };
             match Request::parse(text) {
-                Err(reason) => self.push_line(&error_response(&reason)),
+                Err(message) => self.push_line(&Response::Error { message }.render()),
                 Ok(Request::Wait { job, timeout }) => match core.poll_wait(job) {
                     Some(resp) => self.push_line(&resp.render()),
                     None => {
@@ -345,7 +344,10 @@ impl Conn {
 fn refuse_connection(mut stream: TcpStream) {
     crate::lockaudit::blocking_op("refuse connection over cap");
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let line = error_response("server connection limit reached; retry later");
+    let line = Response::Error {
+        message: "server connection limit reached; retry later".into(),
+    }
+    .render();
     let _ = stream.write_all(line.as_bytes());
     let _ = stream.write_all(b"\n");
 }

@@ -67,12 +67,9 @@ use aq_sim::{
 use crate::backoff::Backoff;
 use crate::cache::{CacheKey, ResultCache, ResultCacheStats};
 use crate::faults::{ChaosKill, FaultCounters, FaultPlan};
-use crate::json::Json;
 use crate::lockaudit::{DebugCondvar, DebugMutex, DebugMutexGuard};
-use crate::metrics::{
-    histogram_quantile_ms, Metrics, WorkerStats, LATENCY_BUCKETS, LATENCY_BUCKET_EDGES_US,
-};
-use crate::protocol::{Request, SubmitRequest};
+use crate::metrics::{histogram_quantile_ms, Metrics, WorkerStats, LATENCY_BUCKETS};
+use crate::protocol::{Request, SubmitRequest, TRANSIENT_PREFIX};
 use crate::queue::{AdmissionError, JobQueue};
 
 /// How long blocking verbs sleep between completion checks; each wakeup
@@ -279,6 +276,20 @@ struct JobRecord {
     cache_key: Option<CacheKey>,
 }
 
+impl JobRecord {
+    /// The reply `status` and `wait` give for this job.
+    fn report(&self, job: u64) -> Response {
+        Response::Status(Box::new(JobStatusReport {
+            job,
+            state: self.state,
+            label: self.label.clone(),
+            scheme: self.scheme.clone(),
+            priority: self.priority,
+            outcome: self.outcome.clone(),
+        }))
+    }
+}
+
 #[derive(Debug, Default)]
 struct Registry {
     map: HashMap<u64, JobRecord>,
@@ -443,7 +454,7 @@ pub struct MetricsReport {
     /// Connections refused at the connection cap.
     pub connections_rejected: u64,
     /// Latency histogram bucket counts (edges in
-    /// [`LATENCY_BUCKET_EDGES_US`], plus overflow).
+    /// [`crate::metrics::LATENCY_BUCKET_EDGES_US`], plus overflow).
     pub latency_counts: [u64; LATENCY_BUCKETS],
     /// Median latency upper bound, fractional ms.
     pub p50_ms: Option<f64>,
@@ -526,283 +537,6 @@ pub enum Response {
         /// What went wrong.
         message: String,
     },
-}
-
-impl Response {
-    /// Renders the response as one compact JSON line (no newline).
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    fn to_json(&self) -> Json {
-        match self {
-            Response::Submitted { job } => Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("verb", Json::str("submit")),
-                ("job", Json::Num(*job as f64)),
-                ("state", Json::str("queued")),
-            ]),
-            Response::Rejected {
-                reason,
-                retry_after_ms,
-            } => {
-                let mut pairs = vec![
-                    ("ok", Json::Bool(true)),
-                    ("verb", Json::str("submit")),
-                    ("state", Json::str("rejected")),
-                    ("reason", Json::str(reason.as_str())),
-                ];
-                if let Some(ms) = retry_after_ms {
-                    pairs.push(("retry_after_ms", Json::Num(*ms as f64)));
-                }
-                Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-            }
-            Response::Status(s) => {
-                let mut pairs = vec![
-                    ("ok", Json::Bool(true)),
-                    ("verb", Json::str("status")),
-                    ("job", Json::Num(s.job as f64)),
-                    ("state", Json::str(s.state.as_str())),
-                    ("label", Json::str(s.label.as_str())),
-                    ("scheme", Json::str(s.scheme.as_str())),
-                    ("priority", Json::Num(s.priority as f64)),
-                ];
-                if let Some(o) = &s.outcome {
-                    pairs.push(("gates_applied", Json::Num(o.gates_applied as f64)));
-                    pairs.push(("seconds", Json::Num(o.seconds)));
-                    pairs.push(("final_nodes", Json::Num(o.final_nodes as f64)));
-                    pairs.push(("resumed", Json::Bool(o.resumed)));
-                    pairs.push(("cache_hit_rate", Json::Num(o.statistics.cache_hit_rate())));
-                    pairs.push((
-                        "top",
-                        Json::Arr(
-                            o.top_probabilities
-                                .iter()
-                                .map(|(i, p)| Json::Arr(vec![Json::Num(*i as f64), Json::Num(*p)]))
-                                .collect(),
-                        ),
-                    ));
-                    if let Some(r) = &o.sample {
-                        pairs.push((
-                            "sample",
-                            Json::obj(vec![
-                                ("shots", Json::Num(r.shots as f64)),
-                                ("seed", Json::Num(r.seed as f64)),
-                                ("forked", Json::Bool(r.forked)),
-                                (
-                                    "counts",
-                                    Json::Arr(
-                                        r.counts
-                                            .iter()
-                                            .map(|(i, n)| {
-                                                Json::Arr(vec![
-                                                    Json::Num(*i as f64),
-                                                    Json::Num(*n as f64),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                                (
-                                    "probabilities",
-                                    Json::Arr(
-                                        r.probabilities
-                                            .iter()
-                                            .map(|p| {
-                                                let mut fields = vec![
-                                                    (
-                                                        "index".to_string(),
-                                                        Json::Num(p.index as f64),
-                                                    ),
-                                                    ("p".to_string(), Json::Num(p.probability)),
-                                                ];
-                                                if let Some(e) = &p.exact {
-                                                    fields.push((
-                                                        "exact".to_string(),
-                                                        Json::str(e.as_str()),
-                                                    ));
-                                                }
-                                                Json::Obj(fields)
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ]),
-                        ));
-                    }
-                    if let Some(a) = &o.aborted {
-                        pairs.push(("reason", Json::str(a.reason.as_str())));
-                        pairs.push(("evicted", Json::Bool(a.evicted)));
-                        pairs.push((
-                            "checkpoint",
-                            match &a.checkpoint {
-                                Some(p) => Json::str(p.display().to_string()),
-                                None => Json::Null,
-                            },
-                        ));
-                    }
-                }
-                Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-            }
-            Response::UnknownJob { job } => Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("verb", Json::str("status")),
-                ("job", Json::Num(*job as f64)),
-                ("state", Json::str("unknown")),
-            ]),
-            Response::Metrics(m) => Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("verb", Json::str("metrics")),
-                ("submitted", Json::Num(m.submitted as f64)),
-                ("completed", Json::Num(m.completed as f64)),
-                ("aborted", Json::Num(m.aborted as f64)),
-                ("rejected", Json::Num(m.rejected as f64)),
-                ("evicted", Json::Num(m.evicted as f64)),
-                ("queue_depth", Json::Num(m.queue_depth as f64)),
-                ("running", Json::Num(m.running as f64)),
-                ("worker_deaths", Json::Num(m.worker_deaths as f64)),
-                ("worker_respawns", Json::Num(m.worker_respawns as f64)),
-                ("shed_deadline", Json::Num(m.shed_deadline as f64)),
-                ("samples", Json::Num(m.samples as f64)),
-                ("shots", Json::Num(m.shots as f64)),
-                (
-                    "result_cache",
-                    Json::obj(vec![
-                        ("served", Json::Num(m.cache_served as f64)),
-                        ("hits", Json::Num(m.cache.hits as f64)),
-                        ("misses", Json::Num(m.cache.misses as f64)),
-                        ("insertions", Json::Num(m.cache.insertions as f64)),
-                        ("evictions", Json::Num(m.cache.evictions as f64)),
-                        ("hit_rate", Json::Num(m.cache.hit_rate())),
-                        ("entries", Json::Num(m.cache_entries as f64)),
-                        ("capacity", Json::Num(m.cache_capacity as f64)),
-                    ]),
-                ),
-                (
-                    "connections",
-                    Json::obj(vec![
-                        ("accepted", Json::Num(m.connections_accepted as f64)),
-                        ("rejected", Json::Num(m.connections_rejected as f64)),
-                        (
-                            "reaped_at_shutdown",
-                            Json::Num(m.connections_reaped_at_shutdown as f64),
-                        ),
-                    ]),
-                ),
-                (
-                    "latency_ms",
-                    Json::obj(vec![
-                        (
-                            "bucket_edges",
-                            Json::Arr(
-                                LATENCY_BUCKET_EDGES_US
-                                    .iter()
-                                    .map(|&e| Json::Num(e as f64 / 1_000.0))
-                                    .collect(),
-                            ),
-                        ),
-                        (
-                            "counts",
-                            Json::Arr(
-                                m.latency_counts
-                                    .iter()
-                                    .map(|&c| Json::Num(c as f64))
-                                    .collect(),
-                            ),
-                        ),
-                        ("p50", m.p50_ms.map(Json::Num).unwrap_or(Json::Null)),
-                        ("p99", m.p99_ms.map(Json::Num).unwrap_or(Json::Null)),
-                    ]),
-                ),
-                (
-                    "workers",
-                    Json::Arr(
-                        m.workers
-                            .iter()
-                            .map(|w| {
-                                Json::obj(vec![
-                                    ("worker", Json::Num(w.worker as f64)),
-                                    ("class", Json::str(w.class.as_str())),
-                                    ("jobs", Json::Num(w.stats.jobs as f64)),
-                                    ("busy_seconds", Json::Num(w.stats.busy_seconds)),
-                                    ("cache_hit_rate", Json::Num(w.stats.engine.cache_hit_rate())),
-                                    (
-                                        "nodes_allocated",
-                                        Json::Num(
-                                            (w.stats.engine.vec_nodes + w.stats.engine.mat_nodes)
-                                                as f64,
-                                        ),
-                                    ),
-                                    ("compactions", Json::Num(w.stats.engine.compactions as f64)),
-                                    ("warm_reuses", Json::Num(w.stats.warm_reuses as f64)),
-                                    ("session_shrinks", Json::Num(w.stats.session_shrinks as f64)),
-                                    ("quarantines", Json::Num(w.stats.quarantines as f64)),
-                                    ("validations", Json::Num(w.stats.validations as f64)),
-                                    (
-                                        "validate_failures",
-                                        Json::Num(w.stats.validate_failures as f64),
-                                    ),
-                                    ("rebuilds", Json::Num(w.stats.rebuilds as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "health",
-                    Json::Arr(
-                        m.health
-                            .iter()
-                            .map(|h| {
-                                Json::obj(vec![
-                                    ("class", Json::str(h.class.as_str())),
-                                    ("configured", Json::Num(h.configured as f64)),
-                                    ("live", Json::Num(h.live as f64)),
-                                    ("respawning", Json::Num(h.respawning as f64)),
-                                    ("restarts_used", Json::Num(h.restarts_used as f64)),
-                                    ("restart_budget", Json::Num(h.restart_budget as f64)),
-                                    ("healthy", Json::Bool(h.healthy)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "chaos",
-                    match &m.chaos {
-                        None => Json::Null,
-                        Some(c) => Json::obj(vec![
-                            ("kills", Json::Num(c.kills as f64)),
-                            ("corruptions", Json::Num(c.corruptions as f64)),
-                            ("stalls", Json::Num(c.stalls as f64)),
-                            ("wakeups", Json::Num(c.wakeups as f64)),
-                        ]),
-                    },
-                ),
-            ]),
-            Response::Drained { completed, aborted } => Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("verb", Json::str("drain")),
-                ("state", Json::str("drained")),
-                ("completed", Json::Num(*completed as f64)),
-                ("aborted", Json::Num(*aborted as f64)),
-            ]),
-            Response::ShutdownDone {
-                evicted_queued,
-                cancelled_running,
-            } => Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("verb", Json::str("shutdown")),
-                ("state", Json::str("stopped")),
-                ("evicted_queued", Json::Num(*evicted_queued as f64)),
-                ("cancelled_running", Json::Num(*cancelled_running as f64)),
-            ]),
-            Response::Error { message } => Json::obj(vec![
-                ("ok", Json::Bool(false)),
-                ("error", Json::str(message.as_str())),
-            ]),
-        }
-    }
 }
 
 /// Supervision state of one worker thread slot.
@@ -1092,12 +826,7 @@ impl ServeCore {
                 let orphan = current_job.swap(0, Ordering::AcqRel);
                 if orphan != 0 {
                     shared.metrics.running.fetch_sub(1, Ordering::Relaxed);
-                    shared.finish_job(
-                        orphan,
-                        transient_death_outcome(
-                            "transient: worker died mid-job; resubmit to rerun",
-                        ),
-                    );
+                    shared.finish_job(orphan, transient_death_outcome());
                 }
             }
             outcomes.push((idx, died));
@@ -1454,14 +1183,7 @@ impl ServeCore {
         let reg = self.shared.lock_registry();
         match reg.map.get(&job) {
             None => Response::UnknownJob { job },
-            Some(rec) => Response::Status(Box::new(JobStatusReport {
-                job,
-                state: rec.state,
-                label: rec.label.clone(),
-                scheme: rec.scheme.clone(),
-                priority: rec.priority,
-                outcome: rec.outcome.clone(),
-            })),
+            Some(rec) => rec.report(job),
         }
     }
 
@@ -1472,16 +1194,7 @@ impl ServeCore {
                 let reg = self.shared.lock_registry();
                 match reg.map.get(&job) {
                     None => return Response::UnknownJob { job },
-                    Some(rec) if rec.state.is_terminal() => {
-                        return Response::Status(Box::new(JobStatusReport {
-                            job,
-                            state: rec.state,
-                            label: rec.label.clone(),
-                            scheme: rec.scheme.clone(),
-                            priority: rec.priority,
-                            outcome: rec.outcome.clone(),
-                        }))
-                    }
+                    Some(rec) if rec.state.is_terminal() => return rec.report(job),
                     Some(_) => {}
                 }
                 let now = Instant::now();
@@ -1614,16 +1327,7 @@ impl ServeCore {
         let reg = self.shared.lock_registry();
         match reg.map.get(&job) {
             None => Some(Response::UnknownJob { job }),
-            Some(rec) if rec.state.is_terminal() => {
-                Some(Response::Status(Box::new(JobStatusReport {
-                    job,
-                    state: rec.state,
-                    label: rec.label.clone(),
-                    scheme: rec.scheme.clone(),
-                    priority: rec.priority,
-                    outcome: rec.outcome.clone(),
-                })))
-            }
+            Some(rec) if rec.state.is_terminal() => Some(rec.report(job)),
             Some(_) => None,
         }
     }
@@ -1773,9 +1477,9 @@ fn evicted_outcome(reason: &str) -> JobOutcome {
 }
 
 /// The zero-work aborted outcome the supervisor writes for a job
-/// orphaned by a worker death. `transient:` marks it retryable — the
-/// job itself was fine; resubmitting reruns it bit-identically.
-fn transient_death_outcome(reason: &str) -> JobOutcome {
+/// orphaned by a worker death. [`TRANSIENT_PREFIX`] marks it retryable —
+/// the job itself was fine; resubmitting reruns it bit-identically.
+fn transient_death_outcome() -> JobOutcome {
     JobOutcome {
         gates_applied: 0,
         seconds: 0.0,
@@ -1785,7 +1489,7 @@ fn transient_death_outcome(reason: &str) -> JobOutcome {
         resumed: false,
         sample: None,
         aborted: Some(JobAbortInfo {
-            reason: reason.into(),
+            reason: format!("{TRANSIENT_PREFIX} worker died mid-job; resubmit to rerun"),
             checkpoint: None,
             evicted: false,
         }),

@@ -94,7 +94,7 @@ pub struct JobSpec<'c> {
     /// matters for wide registers).
     pub top_k: usize,
     /// When set, the job is a *sampling* job: instead of reporting the
-    /// final state it draws shots from it (see [`crate::sample`]).
+    /// final state it draws shots from it into a [`crate::SampleReport`].
     /// Sampling jobs ignore [`JobSpec::resume`] — a shot stream has no
     /// mid-point checkpoint.
     pub sample: Option<SampleParams>,

@@ -39,21 +39,19 @@ pub fn try_op_operator<W: WeightContext>(
 ///
 /// # Errors
 ///
-/// Fails if an operation is not representable in the weight system or
-/// when a budget limit is crossed.
-///
-/// # Panics
-///
-/// Panics if the circuit width differs from the manager's.
+/// [`EngineError::WidthMismatch`] if the circuit width differs from the
+/// manager's; otherwise fails if an operation is not representable in
+/// the weight system or when a budget limit is crossed.
 pub fn try_circuit_unitary<W: WeightContext>(
     m: &mut Manager<W>,
     circuit: &Circuit,
 ) -> Result<Edge<MatId>, EngineError> {
-    assert_eq!(
-        m.n_qubits(),
-        circuit.n_qubits(),
-        "manager/circuit width mismatch"
-    );
+    if m.n_qubits() != circuit.n_qubits() {
+        return Err(EngineError::WidthMismatch {
+            manager: m.n_qubits(),
+            circuit: circuit.n_qubits(),
+        });
+    }
     let mut u = m.try_identity()?;
     for op in circuit.iter() {
         let g = try_op_operator(m, op)?;

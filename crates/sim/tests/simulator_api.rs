@@ -81,6 +81,25 @@ fn equivalence_rejects_width_mismatch() -> TestResult {
 }
 
 #[test]
+fn circuit_unitary_reports_a_width_mismatch() {
+    let mut m = aq_dd::Manager::new(QomegaContext::new(), 2);
+    let mut c = Circuit::new(3);
+    c.push_gate(GateMatrix::h(), 2, &[]);
+    let err = try_circuit_unitary(&mut m, &c).expect_err("a 3-qubit circuit in a 2-qubit manager");
+    assert_eq!(
+        err,
+        EngineError::WidthMismatch {
+            manager: 2,
+            circuit: 3
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "width mismatch: the manager has 2 qubits, the circuit 3"
+    );
+}
+
+#[test]
 fn equivalence_reports_unrepresentable_gates() {
     let mut a = Circuit::new(1);
     a.push_gate(GateMatrix::rz(0.7), 0, &[]);
